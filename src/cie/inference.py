@@ -142,10 +142,15 @@ def score(cg: CausalityGraph, cause_id: str, active: ActiveSymptomSet,
 
 def log_score(cg: CausalityGraph, cause_id: str, active: ActiveSymptomSet,
               leak: float = DEFAULT_LEAK) -> float:
-    cause = cg.cause(cause_id)
-    total = math.log(cause.prior)
-    log_leak = math.log(leak)
-    for sid in active.symptoms:
+    return _log_score(cg, cause_id, sorted(active.symptoms), math.log(leak))
+
+
+def _log_score(cg: CausalityGraph, cause_id: str, ordered: list[str],
+               log_leak: float) -> float:
+    """Sum in the given (sorted) symptom order, so equal active sets built in
+    different insertion orders score identically to the last digit."""
+    total = math.log(cg.cause(cause_id).prior)
+    for sid in ordered:
         edge = cg.edge(cause_id, sid)
         total += math.log(edge.probability) if edge is not None else log_leak
     return total
@@ -171,13 +176,13 @@ def localize(cg: CausalityGraph, active: ActiveSymptomSet,
     if not candidates:
         return Diagnosis(ranked=())
 
+    ordered = sorted(active.symptoms)
+    log_leak = math.log(leak)
     entries = []
     for cid in candidates:
-        explained = tuple(sorted(s for s in active.symptoms
-                                 if cg.edge(cid, s) is not None))
-        unexplained = tuple(sorted(s for s in active.symptoms
-                                   if cg.edge(cid, s) is None))
-        entries.append((cid, log_score(cg, cid, active, leak=leak),
+        explained = tuple(s for s in ordered if cg.edge(cid, s) is not None)
+        unexplained = tuple(s for s in ordered if cg.edge(cid, s) is None)
+        entries.append((cid, _log_score(cg, cid, ordered, log_leak),
                         explained, unexplained))
 
     entries.sort(key=lambda e: (-e[1], -cg.causes[e[0]].prior, e[0]))

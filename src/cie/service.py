@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json import JSONEncoder
 
 from .engine import Engine, EngineSnapshot
 from .errors import DocumentError, EngineError, UnknownIdError
@@ -22,6 +23,12 @@ METHODS = ("get_environment_health", "get_symptoms", "get_root_causes",
            "get_blast_radius", "check_remediation", "get_topology")
 
 NO_ROOT_CAUSE = "no active root cause"
+
+# Responses are standard JSON: a NaN or Infinity (which json.loads accepts,
+# say as a request id) makes the encoder raise instead of writing it. Only
+# json.loads, json.dumps and json.JSONDecodeError are reached through the
+# module global ``json``, which the layer tracer swaps for a wrapper.
+_ENCODER = JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -263,12 +270,20 @@ def hello_banner(engine: Engine) -> dict:
 def serve(engine: Engine, input_stream, output_stream) -> int:
     """Run the newline-delimited request loop until end of input.
 
-    One response per request, in arrival order; malformed frames produce a
-    parse_error response and the loop continues. Returns the number of
-    responses written.
+    One response per request, in arrival order; malformed frames (including
+    ones nested too deeply to decode) produce a parse_error response and the
+    loop continues. A response that cannot be written as standard JSON, such
+    as one echoing a NaN id, is replaced by an invalid_request error with a
+    null id. Returns the number of responses written.
     """
     def emit(obj: dict):
-        output_stream.write(json.dumps(obj) + "\n")
+        try:
+            text = _ENCODER.encode(obj)
+        except (ValueError, RecursionError) as exc:
+            text = _ENCODER.encode(_error(
+                None, "invalid_request",
+                f"response is not representable as standard JSON: {exc}").to_dict())
+        output_stream.write(text + "\n")
         output_stream.flush()
 
     emit(hello_banner(engine))
@@ -280,7 +295,7 @@ def serve(engine: Engine, input_stream, output_stream) -> int:
                 continue
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError too
                 emit(_error(None, "parse_error", f"malformed frame: {exc}").to_dict())
                 responses += 1
                 continue

@@ -185,7 +185,7 @@ def test_attribute_evaluation_criteria(capsys):
 def _fuzz_frames(rng: random.Random, count: int) -> list[str]:
     frames = []
     for i in range(count):
-        kind = rng.randrange(8)
+        kind = rng.randrange(10)
         if kind == 0:  # raw junk
             frames.append("".join(chr(rng.randrange(32, 127))
                                   for _ in range(rng.randrange(1, 40))).strip() or "x")
@@ -210,10 +210,39 @@ def _fuzz_frames(rng: random.Random, count: int) -> list[str]:
                                                  "team": rng.choice([4, ["t"]]),
                                                  "action_targets": rng.choice(
                                                      [[], [1, 2], "x"])}}))
+        elif kind == 8:  # nested past the decoder's recursion limit
+            depth = 100_000 if rng.random() < 0.02 else rng.randrange(2_000, 5_000)
+            frames.append("[" * depth + "]" * depth)
+        elif kind == 9:  # non-finite constants, which json.loads accepts
+            constant = rng.choice(["NaN", "Infinity", "-Infinity"])
+            frames.append(rng.choice([
+                '{"id": %s, "method": "get_symptoms"}' % constant,
+                '{"id": [%s], "method": "%s"}' % (constant, rng.choice(METHODS)),
+                '{"id": %d, "method": "get_symptoms", "params": {"scope": [%s]}}'
+                % (i, constant)]))
         else:  # valid request sprinkled in
             frames.append(json.dumps({"id": i, "method": rng.choice(list(METHODS)),
                                       "params": {}}))
     return frames
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _expected_id(frame: str):
+    """The id a response must echo: null when the frame does not decode, is
+    not an object, or carries an id that is not standard JSON."""
+    try:
+        raw = json.loads(frame)
+    except (ValueError, RecursionError):
+        return None
+    request_id = raw.get("id") if isinstance(raw, dict) else None
+    try:
+        json.dumps(request_id, allow_nan=False)
+    except ValueError:
+        return None
+    return request_id
 
 
 def test_service_robustness_fuzz(capsys, shop_env_path, shop_codebook_path):
@@ -227,22 +256,15 @@ def test_service_robustness_fuzz(capsys, shop_env_path, shop_codebook_path):
     assert count == total
     assert len(lines) == total + 1  # banner + one response per frame
     for line in lines[1:]:
-        response = json.loads(line)  # every response is structured JSON
+        # every response is structured, standard JSON (no NaN or Infinity)
+        response = json.loads(line, parse_constant=_reject_constant)
         assert response["status"] in ("ok", "error")
         if response["status"] == "error":
             assert set(response["error"]) == {"code", "message"}
 
     # pipelining preserves order: ids echo back in arrival order for object frames
     echoed = [json.loads(line)["id"] for line in lines[1:]]
-    expected_ids = []
-    for i, frame in enumerate(frames):
-        try:
-            raw = json.loads(frame)
-        except json.JSONDecodeError:
-            expected_ids.append(None)
-            continue
-        expected_ids.append(raw.get("id") if isinstance(raw, dict) else None)
-    assert echoed == expected_ids
+    assert echoed == [_expected_id(frame) for frame in frames]
 
     # each rubric query costs exactly one tool call
     for name in ("active-fault", "healthy"):

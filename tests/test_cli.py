@@ -134,3 +134,23 @@ def test_serve_over_stdio(runner, shop_env_path, shop_codebook_path):
     assert "hello" in out[0]
     assert out[1]["id"] == 1
     assert out[1]["payload"]["verdict"] == "healthy"
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("serve", "--leak", "0"),
+    ("serve", "--max-depth", "-1"),
+    ("query", "--leak", "1"),
+    ("query", "--max-depth", "-3"),
+])
+def test_invalid_engine_parameters_rejected_at_start(runner, shop_env_path,
+                                                     shop_codebook_path, command,
+                                                     option, value):
+    args = [command, "--env", str(shop_env_path), "--codebook", str(shop_codebook_path),
+            option, value]
+    if command == "query":
+        args += ["--method", "get_root_causes"]
+    lines = json.dumps({"id": 1, "method": "get_root_causes", "params": {}}) + "\n"
+    result = runner.invoke(main, args, input=lines)
+    assert result.exit_code != 0
+    assert option.lstrip("-").replace("-", "_") in result.output
+    assert "internal_error" not in result.output

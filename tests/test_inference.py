@@ -309,3 +309,23 @@ def test_observation_stream_round_trip():
 def test_observation_stream_parse_error_located():
     with pytest.raises(DocumentError, match="line 2"):
         parse_observations('{"tick": 1, "entity": "e", "symptom": "s"}\n{oops\n')
+
+
+def test_scores_independent_of_active_set_insertion_order(shop_engine):
+    # Equal frozensets built in different insertion orders can iterate in
+    # different orders; scores accumulate in sorted order, so the ranking
+    # and every score agree to the last digit.
+    cg = shop_engine.snapshot().causality
+    rng = random.Random(7)
+    sids = sorted(cg.symptoms)
+    reordered = 0
+    for _ in range(200):
+        chosen = rng.sample(sids, 24)
+        shuffled = rng.sample(chosen, len(chosen))
+        first, second = frozenset(chosen), frozenset(shuffled)
+        if list(first) == list(second):
+            continue
+        reordered += 1
+        assert (localize(cg, ActiveSymptomSet(first, as_of=1))
+                == localize(cg, ActiveSymptomSet(second, as_of=1)))
+    assert reordered > 0

@@ -199,13 +199,16 @@ def test_serve_pipelined_requests_preserve_order(fault_engine):
 
 
 def test_serve_malformed_frame_keeps_stream_alive(healthy_engine):
-    lines = '{"id": 1, "method": "get_symptoms"}\n{oops}\n{"id": 2, "method": "get_symptoms"}\n'
+    deep = "[" * 100_000 + "]" * 100_000  # past the decoder's recursion limit
+    lines = ('{"id": 1, "method": "get_symptoms"}\n{oops}\n' + deep
+             + '\n{"id": 2, "method": "get_symptoms"}\n')
     count, _, responses = run_serve(healthy_engine, lines)
-    assert count == 3
+    assert count == 4
     assert responses[0]["id"] == 1 and responses[0]["status"] == "ok"
-    assert responses[1]["status"] == "error"
-    assert responses[1]["error"]["code"] == "parse_error"
-    assert responses[2]["id"] == 2 and responses[2]["status"] == "ok"
+    for response in responses[1:3]:
+        assert response["id"] is None and response["status"] == "error"
+        assert response["error"]["code"] == "parse_error"
+    assert responses[3]["id"] == 2 and responses[3]["status"] == "ok"
 
 
 def test_serve_mutation_between_requests_single_revision_each(fault_engine):
@@ -258,3 +261,24 @@ def test_fuzzed_frames_never_crash_loop(healthy_engine):
     count, _, responses = run_serve(healthy_engine, "\n".join(frames) + "\n")
     assert count == len(frames)
     assert all(r["status"] in ("ok", "error") for r in responses)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_serve_never_writes_non_finite_numbers(healthy_engine):
+    lines = ('{"id": NaN, "method": "get_symptoms"}\n'
+             '{"id": [Infinity], "method": "get_symptoms"}\n'
+             '{"id": 3, "method": "get_symptoms", "params": {"scope": [-Infinity]}}\n'
+             '{"id": 4, "method": "get_symptoms"}\n')
+    out = io.StringIO()
+    count = serve(healthy_engine, io.StringIO(lines), out)
+    assert count == 4
+    responses = [json.loads(line, parse_constant=_reject_constant)
+                 for line in out.getvalue().splitlines()[1:]]
+    for response in responses[:2]:
+        assert response["id"] is None
+        assert response["error"]["code"] == "invalid_request"
+    assert responses[2]["id"] == 3 and responses[2]["error"]["code"] == "invalid_params"
+    assert responses[3]["id"] == 4 and responses[3]["status"] == "ok"
