@@ -7,18 +7,19 @@ edges whose probability is the local association probability multiplied by
 one attenuation factor per rule hop; the hop chain is stored on the edge so
 every probability can be recomputed and audited. When several derivations
 reach the same (cause, symptom) pair the maximum-probability one is kept,
-with fewest-hops-then-lexicographic tie-breaks for determinism.
+with fewest-hops-then-lexicographic tie-breaks for determinism. The rule
+closure behind it (``rule_closure``) also serves the blast radius in
+``impact``, ordered by hop count instead.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .errors import DocumentError, UnknownIdError
 from .knowledge_base import ActivationSpec, Codebook
-from .topology import RELATION_KINDS, EntityGraph
+from .topology import EntityGraph
 
 DEFAULT_MAX_DEPTH = 8
 
@@ -125,6 +126,50 @@ def instance_id(name: str, entity_id: str) -> str:
     return f"{name}@{entity_id}"
 
 
+def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
+                 starts, max_depth: int, by_probability: bool):
+    """The rule closure from ``starts``, a sequence of (symptom, entity,
+    derivation) states: every (symptom, entity) state the codebook's rules
+    reach over ``graph``, each settled once.
+
+    ``by_probability`` pops states by (-relative probability, hops, entity,
+    symptom), a max-product Dijkstra; otherwise by hop count, then discovery
+    order. Hops count from 0 at every start; the relative probability is the
+    product of the attenuations applied after the start. Returns ``(settled,
+    truncated)``: ``settled`` maps each state, in pop order, to (relative
+    probability, start derivation + the DerivationHops taken), and
+    ``truncated`` holds the states whose expansion hit ``max_depth``.
+    """
+    heap = [((-1.0, 0, ent, sym, i) if by_probability else (0, i), 0, 1.0, sym, ent, hops)
+            for i, (sym, ent, hops) in enumerate(starts)]
+    heapq.heapify(heap)
+    counter = len(heap)  # unique key tail keeps unorderable hop tuples out of comparisons
+    settled: dict[tuple[str, str], tuple[float, tuple[DerivationHop, ...]]] = {}
+    truncated: set[tuple[str, str]] = set()
+    while heap:
+        _, n_hops, prob, sym, ent, hops = heapq.heappop(heap)
+        if (sym, ent) in settled:
+            continue
+        settled[(sym, ent)] = (prob, hops)
+        for kind, rule, direction, target_type in cb.steps[sym]:
+            for nbr in graph.adjacent(ent, kind, direction):
+                if entity_types.get(nbr) != target_type or (rule.to_symptom, nbr) in settled:
+                    continue
+                if n_hops >= max_depth:
+                    truncated.add((sym, ent))
+                    continue
+                if direction == "out":
+                    hop = DerivationHop(rule.rule_id, ent, nbr, kind)
+                else:
+                    hop = DerivationHop(rule.rule_id, nbr, ent, kind)
+                counter += 1
+                p = prob * rule.attenuation
+                key = ((-p, n_hops + 1, nbr, rule.to_symptom, counter) if by_probability
+                       else (n_hops + 1, counter))
+                heapq.heappush(heap, (key, n_hops + 1, p, rule.to_symptom, nbr, hops + (hop,)))
+    return settled, truncated
+
+
 def instantiate(graph: EntityGraph, cb: Codebook,
                 max_depth: int = DEFAULT_MAX_DEPTH) -> CausalityGraph:
     """Apply the codebook to a topology snapshot.
@@ -134,8 +179,9 @@ def instantiate(graph: EntityGraph, cb: Codebook,
     returned graph rather than failing.
     """
     entities = graph.entities
+    type_names = cb.type_names()
     for eid in sorted(entities):
-        if entities[eid].entity_type not in cb.type_names():
+        if entities[eid].entity_type not in type_names:
             raise DocumentError(
                 f"entity {eid!r} has undeclared type {entities[eid].entity_type!r}")
 
@@ -156,58 +202,20 @@ def instantiate(graph: EntityGraph, cb: Codebook,
 
     truncations: set[str] = set()
     reach_cache: dict[tuple[str, str], dict] = {}
-
-    def expand(start_symptom: str, start_entity: str) -> dict:
-        """Max-product rule closure from one (symptom, entity) state.
-
-        Returns {(symptom_name, entity): (relative_prob, hops)} with the
-        start state included at prob 1.0. Dijkstra over -log(prob); ties
-        broken by fewest hops, then entity id, then symptom name.
-        """
-        key = (start_symptom, start_entity)
-        if key in reach_cache:
-            return reach_cache[key]
-        best: dict[tuple[str, str], tuple[float, tuple[DerivationHop, ...]]] = {}
-        counter = 0  # heap tie-breaker; keeps unorderable hop tuples out of comparisons
-        heap = [(-1.0, 0, start_entity, start_symptom, counter, ())]
-        while heap:
-            neg_prob, n_hops, ent, sym, _, hops = heapq.heappop(heap)
-            state = (sym, ent)
-            if state in best:
-                continue
-            best[state] = (-neg_prob, hops)
-            for kind in RELATION_KINDS:
-                for rule in sorted(cb.rules_for(sym, kind), key=lambda r: r.rule_id):
-                    direction = "out" if rule.traversal == "forward" else "in"
-                    target_type = cb.symptom(rule.to_symptom).applies_to
-                    for nbr in sorted(graph.neighbors(ent, kind, direction)):
-                        if entity_types[nbr] != target_type:
-                            continue
-                        nxt = (rule.to_symptom, nbr)
-                        if nxt in best:
-                            continue
-                        if n_hops >= max_depth:
-                            truncations.add(
-                                f"depth limit {max_depth} reached expanding "
-                                f"{start_symptom}@{start_entity} at {sym}@{ent}")
-                            continue
-                        if rule.traversal == "forward":
-                            hop = DerivationHop(rule.rule_id, ent, nbr, kind)
-                        else:
-                            hop = DerivationHop(rule.rule_id, nbr, ent, kind)
-                        counter += 1
-                        heapq.heappush(heap, (neg_prob * rule.attenuation, n_hops + 1,
-                                              nbr, rule.to_symptom, counter, hops + (hop,)))
-        reach_cache[key] = best
-        return best
-
     attenuation_by_rule = {r.rule_id: r.attenuation for r in cb.rules}
     edges: dict[tuple[str, str], CausalEdge] = {}
     for eid in sorted(entities):
         for cdef in cb.causes_for_type(entity_types[eid]):
             cid = instance_id(cdef.cause_name, eid)
             for s0, p0 in cdef.local_symptoms:
-                for (sym, ent), (_, hops) in expand(s0, eid).items():
+                reach = reach_cache.get((s0, eid))
+                if reach is None:
+                    reach, truncated = rule_closure(graph, cb, entity_types, [(s0, eid, ())],
+                                                    max_depth, by_probability=True)
+                    reach_cache[(s0, eid)] = reach
+                    truncations.update(f"depth limit {max_depth} reached expanding "
+                                       f"{s0}@{eid} at {sym}@{ent}" for sym, ent in truncated)
+                for (sym, ent), (_, hops) in reach.items():
                     prob = p0
                     for hop in hops:
                         prob *= attenuation_by_rule[hop.rule_id]
@@ -271,7 +279,3 @@ def dump_graph(cg: CausalityGraph) -> dict:
                   for e in sorted(cg.edges.values(), key=lambda e: (e.cause_id, e.symptom_id))],
         "truncations": list(cg.truncations),
     }
-
-
-def dump_graph_json(cg: CausalityGraph) -> str:
-    return json.dumps(dump_graph(cg), indent=2)

@@ -297,13 +297,10 @@ def run_scenario(scenario: Scenario, engine: Engine | None = None,
                         per_query=results, traces=traces)
 
 
-def measure_footprint(scenario: Scenario, engine: Engine | None = None,
-                      seed: int = 0) -> dict:
-    """Footprint metrics per query: tool calls, payload bytes, wall-clock.
-
-    Payload bytes stand in for tokens; no language model is driven here.
-    """
-    result = run_scenario(scenario, engine=engine, seed=seed)
+def footprint_metrics(result: RubricResult, seed: int = 0) -> dict:
+    """Footprint metrics per query of a scored run: tool calls, payload bytes,
+    wall-clock. Payload bytes stand in for tokens; no language model is
+    driven here."""
     return {
         "schema": "metrics/1",
         "scenario": result.scenario,
@@ -319,16 +316,16 @@ def measure_footprint(scenario: Scenario, engine: Engine | None = None,
     }
 
 
+def measure_footprint(scenario: Scenario, engine: Engine | None = None,
+                      seed: int = 0) -> dict:
+    """Run the scenario once and return its footprint metrics."""
+    return footprint_metrics(run_scenario(scenario, engine=engine, seed=seed), seed)
+
+
 def trace_to_dict(trace: QueryTrace) -> dict:
     return {"query_id": trace.query_id, "method": trace.method,
             "tool_calls": trace.tool_calls, "payload_bytes": trace.payload_bytes,
             "wall_ms": trace.wall_ms}
-
-
-def trace_from_dict(raw: dict) -> QueryTrace:
-    return QueryTrace(query_id=raw["query_id"], method=raw["method"],
-                      tool_calls=raw["tool_calls"], payload_bytes=raw["payload_bytes"],
-                      wall_ms=raw["wall_ms"])
 
 
 def metrics_to_jsonl(metrics: dict) -> str:

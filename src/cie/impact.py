@@ -1,21 +1,21 @@
 """Impacted-entity sets, blast radius, ownership, and remediation alignment.
 
 The blast radius starts from the entities hosting a cause's effects and
-extends by the same depth-limited rule traversal the causality layer uses;
-one shortest propagation path is recorded per reached entity. A proposed
-action is causally aligned only when it targets the cause's host or the
-host's layer/comp stack; fixing a caller never removes a callee's defect.
+extends them by calling the causality layer's rule closure
+(``causality.rule_closure``) in fewest-hop order; one shortest propagation
+path is recorded per reached entity. A proposed action is causally aligned
+only when it targets the cause's host or the host's layer/comp stack;
+fixing a caller never removes a callee's defect.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
-from .causality import DEFAULT_MAX_DEPTH, CausalityGraph
+from .causality import DEFAULT_MAX_DEPTH, CausalityGraph, rule_closure
 from .errors import UnknownIdError
 from .knowledge_base import Codebook
-from .topology import RELATION_KINDS, EntityGraph
+from .topology import EntityGraph
 
 
 @dataclass(frozen=True)
@@ -81,48 +81,18 @@ def blast_radius(topology: EntityGraph, cg: CausalityGraph, cb: Codebook,
     cause = cg.cause(cause_id)
     direct = frozenset(impacted_entities(cg, cause_id))
 
-    entity_types = cg.entity_types
-    paths: dict[str, tuple[ImpactHop, ...]] = {cause.host_entity: ()}
-
-    starts = []
-    for sid in sorted(cg.effects(cause_id)):
-        inst = cg.symptoms[sid]
-        base = derivation_to_impact_hops(cg.edges[(cause_id, sid)].derivation, cb)
-        starts.append((len(base), sid, inst.symptom_name, inst.host_entity, base))
-    starts.sort(key=lambda s: (s[0], s[1]))
-
-    counter = 0
-    heap: list[tuple[int, int, str, str, tuple[ImpactHop, ...]]] = []
-    for _, _, sym, ent, base in starts:
-        heap.append((0, counter, sym, ent, base))
-        counter += 1
-    heapq.heapify(heap)
-
-    truncations: set[str] = set()
-    settled: set[tuple[str, str]] = set()
-    while heap:
-        used, _, sym, ent, chain = heapq.heappop(heap)
-        state = (sym, ent)
-        if state in settled:
-            continue
-        settled.add(state)
-        if ent not in paths:
-            paths[ent] = chain
-        for kind in RELATION_KINDS:
-            for rule in sorted(cb.rules_for(sym, kind), key=lambda r: r.rule_id):
-                direction = "out" if rule.traversal == "forward" else "in"
-                target_type = cb.symptom(rule.to_symptom).applies_to
-                for nbr in sorted(topology.neighbors(ent, kind, direction)):
-                    if entity_types.get(nbr) != target_type:
-                        continue
-                    if (rule.to_symptom, nbr) in settled:
-                        continue
-                    if used >= max_depth:
-                        truncations.add(f"depth limit {max_depth} reached at {sym}@{ent}")
-                        continue
-                    counter += 1
-                    heapq.heappush(heap, (used + 1, counter, rule.to_symptom, nbr,
-                                          chain + (ImpactHop(rule.rule_id, ent, nbr, kind),)))
+    effects = sorted(cg.edges_from(cause_id), key=lambda e: (len(e.derivation), e.symptom_id))
+    settled, truncated = rule_closure(
+        topology, cb, cg.entity_types,
+        [(cg.symptoms[e.symptom_id].symptom_name, cg.symptoms[e.symptom_id].host_entity,
+          e.derivation) for e in effects],
+        max_depth, by_probability=False)
+    kept: dict[str, tuple] = {cause.host_entity: ()}
+    for (_, ent), (_, derivation) in settled.items():
+        kept.setdefault(ent, derivation)
+    paths = {ent: derivation_to_impact_hops(derivation, cb)
+             for ent, derivation in kept.items()}
+    truncations = {f"depth limit {max_depth} reached at {sym}@{ent}" for sym, ent in truncated}
 
     transitive = frozenset(paths)
     impacted_teams = frozenset(

@@ -89,36 +89,42 @@ class Codebook:
         self.symptoms = tuple(symptoms)
         self.rules = tuple(rules)
         self.version = version
+        self._types_by_name: dict[str, EntityTypeDef] = {}
+        self._symptoms_by_name: dict[str, SymptomDef] = {}
         self._validate()
-        self._types_by_name = {t.type_name: t for t in self.types}
-        self._symptoms_by_name = {s.symptom_name: s for s in self.symptoms}
         self._causes_by_name = {c.cause_name: c for c in self.root_causes}
-        self._rules_by_from: dict[tuple[str, str], list[PropagationRule]] = {}
-        for rule in self.rules:
-            key = (rule.from_symptom, rule.over_relation)
-            self._rules_by_from.setdefault(key, []).append(rule)
+        # Step table for the rule-closure traversal: symptom -> ((relation
+        # kind, rule, adjacency direction, target type), ...) in
+        # RELATION_KINDS order, then by rule id.
+        self.steps: dict[str, tuple[tuple[str, PropagationRule, str, str], ...]] = {
+            s.symptom_name: () for s in self.symptoms}
+        for rule in sorted(self.rules, key=lambda r: (RELATION_KINDS.index(r.over_relation),
+                                                      r.rule_id)):
+            direction = "out" if rule.traversal == "forward" else "in"
+            target_type = self._symptoms_by_name[rule.to_symptom].applies_to
+            self.steps[rule.from_symptom] += ((rule.over_relation, rule, direction,
+                                               target_type),)
 
     def _validate(self):
-        seen_types: set[str] = set()
+        types = self._types_by_name
         for t in self.types:
-            if t.type_name in seen_types:
+            if t.type_name in types:
                 raise DocumentError(f"duplicate type {t.type_name!r}", location=t.type_name)
             if len(set(t.attribute_decls)) != len(t.attribute_decls):
                 raise DocumentError("duplicate attribute declaration", location=t.type_name)
-            seen_types.add(t.type_name)
+            types[t.type_name] = t
 
-        symptom_names: set[str] = set()
+        symptoms = self._symptoms_by_name
         for s in self.symptoms:
             loc = s.symptom_name
-            if s.symptom_name in symptom_names:
+            if s.symptom_name in symptoms:
                 raise DocumentError(f"duplicate symptom {s.symptom_name!r}", location=loc)
-            symptom_names.add(s.symptom_name)
-            if s.applies_to not in seen_types:
+            symptoms[s.symptom_name] = s
+            if s.applies_to not in types:
                 raise DocumentError(f"unknown type {s.applies_to!r}", location=loc)
             act = s.activation
             if act.kind == "threshold":
-                type_def = next(t for t in self.types if t.type_name == s.applies_to)
-                if act.attribute not in type_def.attribute_decls:
+                if act.attribute not in types[s.applies_to].attribute_decls:
                     raise DocumentError(
                         f"threshold references attribute {act.attribute!r} not declared "
                         f"on type {s.applies_to!r}", location=loc)
@@ -135,13 +141,13 @@ class Codebook:
             if c.cause_name in cause_names:
                 raise DocumentError(f"duplicate root cause {c.cause_name!r}", location=loc)
             cause_names.add(c.cause_name)
-            if c.applies_to not in seen_types:
+            if c.applies_to not in types:
                 raise DocumentError(f"unknown type {c.applies_to!r}", location=loc)
             _check_probability(c.prior, "prior", loc)
             for name, prob in c.local_symptoms:
-                if name not in symptom_names:
+                sdef = symptoms.get(name)
+                if sdef is None:
                     raise DocumentError(f"unknown symptom {name!r}", location=loc)
-                sdef = next(s for s in self.symptoms if s.symptom_name == name)
                 if sdef.applies_to != c.applies_to:
                     raise DocumentError(
                         f"local symptom {name!r} applies to {sdef.applies_to!r}, "
@@ -155,7 +161,7 @@ class Codebook:
                 raise DocumentError(f"duplicate rule id {r.rule_id!r}", location=loc)
             rule_ids.add(r.rule_id)
             for name in (r.from_symptom, r.to_symptom):
-                if name not in symptom_names:
+                if name not in symptoms:
                     raise DocumentError(f"unknown symptom {name!r}", location=loc)
             if r.over_relation not in RELATION_KINDS:
                 raise DocumentError(f"unknown relation kind {r.over_relation!r}", location=loc)
@@ -196,9 +202,10 @@ class Codebook:
         return [s for s in self.symptoms if s.applies_to == type_name]
 
     def rules_for(self, symptom_name: str, relation_kind: str) -> list[PropagationRule]:
-        """Rules that fire from ``symptom_name`` across ``relation_kind`` edges."""
+        """Rules that fire from ``symptom_name`` across ``relation_kind`` edges,
+        in rule-id order."""
         self.symptom(symptom_name)
-        return list(self._rules_by_from.get((symptom_name, relation_kind), []))
+        return [rule for kind, rule, _, _ in self.steps[symptom_name] if kind == relation_kind]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):
@@ -285,11 +292,8 @@ def load_codebook(document) -> Codebook:
                                      to_symptom=raw["to_symptom"],
                                      attenuation=raw["attenuation"]))
 
-    try:
-        return Codebook(tuple(types), tuple(causes), tuple(symptoms), tuple(rules),
-                        version=str(doc.get("version", "0")))
-    except DocumentError:
-        raise
+    return Codebook(tuple(types), tuple(causes), tuple(symptoms), tuple(rules),
+                    version=str(doc.get("version", "0")))
 
 
 def render_codebook(cb: Codebook) -> dict:

@@ -274,7 +274,8 @@ def serve(engine: Engine, input_stream, output_stream) -> int:
     ones nested too deeply to decode) produce a parse_error response and the
     loop continues. A response that cannot be written as standard JSON, such
     as one echoing a NaN id, is replaced by an invalid_request error with a
-    null id. Returns the number of responses written.
+    null id. A closed output stream (BrokenPipeError) ends the loop. Returns
+    the number of responses written.
     """
     def emit(obj: dict):
         try:
@@ -286,9 +287,9 @@ def serve(engine: Engine, input_stream, output_stream) -> int:
         output_stream.write(text + "\n")
         output_stream.flush()
 
-    emit(hello_banner(engine))
     responses = 0
     try:
+        emit(hello_banner(engine))
         for line in input_stream:
             line = line.strip()
             if not line:
@@ -302,6 +303,6 @@ def serve(engine: Engine, input_stream, output_stream) -> int:
             response = handle(raw, engine.snapshot())
             emit(response.to_dict())
             responses += 1
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, BrokenPipeError):
         pass
     return responses

@@ -55,11 +55,13 @@ class EntityGraph:
         self._entities: dict[str, Entity] = dict(entities or {})
         self._relations: frozenset[Relation] = frozenset(relations or ())
         self.revision = revision
-        self._out: dict[str, dict[str, set[str]]] = {}
-        self._in: dict[str, dict[str, set[str]]] = {}
+        # Adjacency as sorted id tuples, keyed by (entity, kind), per direction.
+        adjacency: dict[str, dict[tuple[str, str], list[str]]] = {"out": {}, "in": {}}
         for rel in self._relations:
-            self._out.setdefault(rel.source, {}).setdefault(rel.kind, set()).add(rel.target)
-            self._in.setdefault(rel.target, {}).setdefault(rel.kind, set()).add(rel.source)
+            adjacency["out"].setdefault((rel.source, rel.kind), []).append(rel.target)
+            adjacency["in"].setdefault((rel.target, rel.kind), []).append(rel.source)
+        self._adjacency = {direction: {key: tuple(sorted(ids)) for key, ids in by_key.items()}
+                           for direction, by_key in adjacency.items()}
 
     # -- read surface -------------------------------------------------------
 
@@ -97,25 +99,28 @@ class EntityGraph:
             raise DocumentError(f"unknown direction {direction!r}")
         kinds = RELATION_KINDS if kind == "all" else (kind,)
         found: set[str] = set()
-        if direction in ("out", "both"):
-            by_kind = self._out.get(entity_id, {})
+        for d in (("out", "in") if direction == "both" else (direction,)):
             for k in kinds:
-                found |= by_kind.get(k, set())
-        if direction in ("in", "both"):
-            by_kind = self._in.get(entity_id, {})
-            for k in kinds:
-                found |= by_kind.get(k, set())
+                found.update(self._adjacency[d].get((entity_id, k), ()))
         return found
 
+    def adjacent(self, entity_id: str, kind: str, direction: str) -> tuple[str, ...]:
+        """Sorted ids one ``kind`` edge away in ``direction`` ("out" or "in").
+        Unchecked fast path for traversals over known ids."""
+        return self._adjacency[direction].get((entity_id, kind), ())
+
     def scope(self, entity_ids: set[str]) -> EntityGraph:
-        """Induced subgraph over ``entity_ids``; same revision (read-only op)."""
-        missing = set(entity_ids) - set(self._entities)
+        """Induced subgraph over ``entity_ids``; same revision (read-only op).
+        Costs O(scoped ids and their edges), not O(graph)."""
+        keep = set(entity_ids)
+        missing = {eid for eid in keep if eid not in self._entities}
         if missing:
             raise UnknownIdError(f"unknown entities in scope: {sorted(missing)}")
-        keep = set(entity_ids)
         entities = {eid: self._entities[eid] for eid in keep}
-        relations = frozenset(r for r in self._relations
-                              if r.source in keep and r.target in keep)
+        relations = frozenset(Relation(source, target, kind)
+                              for source in keep for kind in RELATION_KINDS
+                              for target in self.adjacent(source, kind, "out")
+                              if target in keep)
         return EntityGraph(entities, relations, self.revision)
 
     def teams(self) -> set[str]:

@@ -5,6 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import cie.harness
+import cie.service
 from cie import data
 from cie.cli import main
 from cie.inference import render_observations
@@ -31,7 +33,14 @@ def test_scenario_run_healthy_json_report(runner):
     assert report["passed"] == 3
 
 
-def test_scenario_run_writes_metrics(runner, tmp_path):
+def test_scenario_run_writes_metrics(runner, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(request, snapshot):
+        calls.append(request["id"])
+        return cie.service.handle(request, snapshot)
+
+    monkeypatch.setattr(cie.harness, "handle", counted)
     metrics_path = tmp_path / "metrics.jsonl"
     result = runner.invoke(main, ["scenario", "run", "--scenario", "builtin:active-fault",
                                   "--metrics-out", str(metrics_path)])
@@ -39,6 +48,10 @@ def test_scenario_run_writes_metrics(runner, tmp_path):
     lines = [json.loads(line) for line in metrics_path.read_text().splitlines()]
     assert lines[0]["record"] == "header"
     assert sum(1 for line in lines if line["record"] == "query") == 6
+    # one scenario run: each query reaches the tool service once
+    queries = [q.query_id for q in load_scenario(data.scenario_path("active-fault")).queries]
+    assert calls == queries
+    assert [line["query_id"] for line in lines if line["record"] == "query"] == queries
 
 
 def test_scenario_run_failing_rubric_exits_nonzero(runner, tmp_path):

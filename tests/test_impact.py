@@ -10,7 +10,9 @@ from cie.causality import instantiate
 from cie.errors import UnknownIdError
 from cie.impact import (blast_radius, impacted_entities, ownership_check,
                         remediation_alignment)
-from cie.topology import Relation
+from cie.knowledge_base import (Codebook, EntityTypeDef, PropagationRule, RootCauseDef,
+                                SymptomDef)
+from cie.topology import Entity, EntityGraph, Relation
 
 from genmodels import blast_fixpoint, random_codebook, random_topology
 
@@ -75,6 +77,60 @@ def test_scenario_blast_radius_spans_multiple_teams(shop):
         "payment-rejections-hit-callers", "order-failures-starve-shipping"]
     assert br.paths["shipping"][0].from_entity == "payment"
     assert br.paths["shipping"][1].to_entity == "shipping"
+
+
+def test_blast_radius_depth_truncation_on_chain(chain_codebook):
+    # s0 calls s1 calls ... s11; errors at s11 walk caller-ward.
+    graph = EntityGraph()
+    for i in range(12):
+        graph = graph.add_entity(Entity(id=f"s{i}", name=f"s{i}", entity_type="service"))
+    for i in range(11):
+        graph = graph.add_relation(Relation(f"s{i}", f"s{i + 1}", "conn"))
+    cg = instantiate(graph, chain_codebook, max_depth=3)
+    br = blast_radius(graph, cg, chain_codebook, "defect@s11", max_depth=3)
+    # the effects reach s8; each re-expands with a fresh budget of 3 hops
+    assert br.transitive_entities == frozenset(f"s{i}" for i in range(5, 12))
+    assert br.truncations == ("depth limit 3 reached at high_error_rate@s5",)
+    for i in range(5, 12):
+        hops = br.paths[f"s{i}"]
+        assert len(hops) == 11 - i
+        assert [(h.from_entity, h.to_entity) for h in hops] == [
+            (f"s{j}", f"s{j - 1}") for j in range(11, i, -1)]
+
+
+def test_causality_keeps_likeliest_chain_while_blast_path_keeps_fewest_hops():
+    """err@X reaches err@Y by one weak comp hop (0.1) or by two strong
+    caller-ward conn hops through M (0.9 * 0.9); the comp hop also carries
+    lat to Y. The edge keeps the likelier chain, the blast path the shorter."""
+    cb = Codebook(
+        types=(EntityTypeDef(type_name="svc"),),
+        root_causes=(RootCauseDef(cause_name="defect", applies_to="svc",
+                                  local_symptoms=(("err", 0.9),)),),
+        symptoms=(SymptomDef(symptom_name="err", applies_to="svc"),
+                  SymptomDef(symptom_name="lat", applies_to="svc")),
+        rules=(PropagationRule("callers", "err", "conn", "reverse", "err", 0.9),
+               PropagationRule("shortcut-err", "err", "comp", "forward", "err", 0.1),
+               PropagationRule("shortcut-lat", "err", "comp", "forward", "lat", 0.1)),
+    )
+    graph = EntityGraph()
+    for eid in ("X", "M", "Y"):
+        graph = graph.add_entity(Entity(id=eid, name=eid, entity_type="svc"))
+    for rel in (Relation("M", "X", "conn"), Relation("Y", "M", "conn"),
+                Relation("X", "Y", "comp")):
+        graph = graph.add_relation(rel)
+    cg = instantiate(graph, cb)
+
+    edge = cg.edge("defect@X", "err@Y")
+    assert [h.rule_id for h in edge.derivation] == ["callers", "callers"]
+    assert edge.probability == pytest.approx(0.9 * 0.9 * 0.9)
+    assert cg.edge("defect@X", "lat@Y").derivation[0].rule_id == "shortcut-lat"
+
+    br = blast_radius(graph, cg, cb, "defect@X")
+    assert [(h.rule_id, h.from_entity, h.to_entity) for h in br.paths["Y"]] == [
+        ("shortcut-lat", "X", "Y")]
+    assert [(h.rule_id, h.from_entity, h.to_entity) for h in br.paths["M"]] == [
+        ("callers", "X", "M")]
+    assert br.paths["X"] == ()
 
 
 def test_ownership_checks_on_scenario(shop):
@@ -157,6 +213,37 @@ def test_blast_radius_invariants_on_random_models(seed):
         assert cg.causes[cid].host_entity in br.transitive_entities
         assert set(br.paths) == set(br.transitive_entities)
         assert br.transitive_entities == frozenset(blast_fixpoint(graph, cb, cg, cid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=3))
+def test_blast_paths_follow_existing_relations_from_host(seed, max_depth):
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    graph = random_topology(rng, cb)
+    cg = instantiate(graph, cb, max_depth=max_depth)
+    rules = {r.rule_id: r for r in cb.rules}
+    for cid in sorted(cg.causes):
+        host = cg.causes[cid].host_entity
+        local = {name for name, _ in cb.cause(cg.causes[cid].cause_name).local_symptoms}
+        br = blast_radius(graph, cg, cb, cid, max_depth=max_depth)
+        for ent, hops in br.paths.items():
+            assert (hops[-1].to_entity if hops else host) == ent
+            if not hops:
+                continue
+            assert hops[0].from_entity == host
+            assert rules[hops[0].rule_id].from_symptom in local
+            for prev, hop in zip(hops, hops[1:]):
+                assert hop.from_entity == prev.to_entity
+                assert rules[hop.rule_id].from_symptom == rules[prev.rule_id].to_symptom
+            for hop in hops:
+                rule = rules[hop.rule_id]
+                assert hop.kind == rule.over_relation
+                ends = (hop.from_entity, hop.to_entity)
+                if rule.traversal == "reverse":
+                    ends = ends[::-1]
+                assert Relation(*ends, hop.kind) in graph.relations
+                assert cg.entity_types[hop.to_entity] == cb.symptom(rule.to_symptom).applies_to
 
 
 @settings(max_examples=40, deadline=None)

@@ -189,6 +189,31 @@ def test_serve_empty_input_writes_banner_only(healthy_engine):
     assert set(banner["hello"]["methods"]) == set(METHODS)
 
 
+class ClosingWriter(io.StringIO):
+    """An output stream whose reader goes away after ``lines`` lines."""
+
+    def __init__(self, lines):
+        super().__init__()
+        self.lines = lines
+
+    def write(self, text):
+        if self.getvalue().count("\n") >= self.lines:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("lines", [0, 1, 3])
+def test_serve_stops_quietly_on_closed_output(healthy_engine, lines):
+    frames = "".join(json.dumps({"id": i, "method": "get_symptoms"}) + "\n"
+                     for i in range(5))
+    out = ClosingWriter(lines)
+    count = serve(healthy_engine, io.StringIO(frames), out)
+    written = out.getvalue().splitlines()
+    assert len(written) == lines
+    assert count == max(lines - 1, 0)  # the banner is not a response
+    assert [json.loads(line)["id"] for line in written[1:]] == list(range(count))
+
+
 def test_serve_pipelined_requests_preserve_order(fault_engine):
     n = 25
     lines = "\n".join(json.dumps({"id": i, "method": "get_symptoms", "params": {}})

@@ -212,3 +212,41 @@ def test_neighbors_direction_union_property(seed):
         for kind in RELATION_KINDS + ("all",):
             both = graph.neighbors(eid, kind, "both")
             assert both == graph.neighbors(eid, kind, "out") | graph.neighbors(eid, kind, "in")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_scope_equals_brute_force_induced_subgraph(seed):
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    graph = random_topology(rng, cb, n_entities=rng.randint(0, 15))
+    counter = [0]
+    for _ in range(rng.randint(0, 3)):
+        graph = random_mutation(rng, graph, cb, counter)
+    ids = sorted(graph.entity_ids())
+    for _ in range(5):
+        subset = set(rng.sample(ids, rng.randint(0, len(ids))))
+        expected = EntityGraph(
+            {eid: graph.entity(eid) for eid in subset},
+            frozenset(r for r in graph.relations
+                      if r.source in subset and r.target in subset),
+            graph.revision)
+        assert graph.scope(subset) == expected
+        ghosts = {f"ghost{i}" for i in range(rng.randint(1, 3))}
+        with pytest.raises(UnknownIdError) as err:
+            graph.scope(subset | ghosts)
+        assert str(sorted(ghosts)) in str(err.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_adjacent_is_sorted_relation_scan(seed):
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    graph = random_topology(rng, cb)
+    for eid in graph.entity_ids():
+        for kind in RELATION_KINDS:
+            assert graph.adjacent(eid, kind, "out") == tuple(sorted(
+                r.target for r in graph.relations if r.source == eid and r.kind == kind))
+            assert graph.adjacent(eid, kind, "in") == tuple(sorted(
+                r.source for r in graph.relations if r.target == eid and r.kind == kind))
