@@ -58,10 +58,10 @@ def impacted_entities(cg: CausalityGraph, cause_id: str) -> set[str]:
 def derivation_to_impact_hops(derivation, cb: Codebook) -> tuple[ImpactHop, ...]:
     """Re-orient stored relation hops into effect direction using each rule's
     traversal: forward rules flow source->target, reverse rules the opposite."""
-    traversal_by_rule = {r.rule_id: r.traversal for r in cb.rules}
+    rules = cb.rules_by_id
     hops = []
     for hop in derivation:
-        if traversal_by_rule[hop.rule_id] == "forward":
+        if rules[hop.rule_id].traversal == "forward":
             hops.append(ImpactHop(hop.rule_id, hop.source, hop.target, hop.kind))
         else:
             hops.append(ImpactHop(hop.rule_id, hop.target, hop.source, hop.kind))
@@ -124,6 +124,7 @@ def remediation_alignment(topology: EntityGraph, cg: CausalityGraph, br: BlastRa
     if action_target not in topology:
         raise UnknownIdError(f"unknown entity {action_target!r}")
     host = cg.cause(br.cause).host_entity
+    topology.entity(host)  # a host missing from the topology raises UnknownIdError
 
     # Hosting stack: entities reachable from the host via layer/comp edges.
     stack_parent: dict[str, str] = {}
@@ -132,7 +133,7 @@ def remediation_alignment(topology: EntityGraph, cg: CausalityGraph, br: BlastRa
     while frontier:
         current = frontier.pop()
         for kind in ("layer", "comp"):
-            for nbr in sorted(topology.neighbors(current, kind, "out")):
+            for nbr in topology.adjacent(current, kind, "out"):
                 if nbr not in stack:
                     stack.add(nbr)
                     stack_parent[nbr] = current

@@ -91,6 +91,7 @@ class Codebook:
         self.version = version
         self._types_by_name: dict[str, EntityTypeDef] = {}
         self._symptoms_by_name: dict[str, SymptomDef] = {}
+        self.rules_by_id: dict[str, PropagationRule] = {}
         self._validate()
         self._causes_by_name = {c.cause_name: c for c in self.root_causes}
         # Step table for the rule-closure traversal: symptom -> ((relation
@@ -154,12 +155,12 @@ class Codebook:
                         f"not to the cause's type {c.applies_to!r}", location=loc)
                 _check_probability(prob, f"P({name}|{c.cause_name})", loc)
 
-        rule_ids: set[str] = set()
+        rules = self.rules_by_id
         for r in self.rules:
             loc = r.rule_id
-            if r.rule_id in rule_ids:
+            if r.rule_id in rules:
                 raise DocumentError(f"duplicate rule id {r.rule_id!r}", location=loc)
-            rule_ids.add(r.rule_id)
+            rules[r.rule_id] = r
             for name in (r.from_symptom, r.to_symptom):
                 if name not in symptoms:
                     raise DocumentError(f"unknown symptom {name!r}", location=loc)

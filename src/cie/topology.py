@@ -63,6 +63,40 @@ class EntityGraph:
         self._adjacency = {direction: {key: tuple(sorted(ids)) for key, ids in by_key.items()}
                            for direction, by_key in adjacency.items()}
 
+    @classmethod
+    def _derived(cls, entities: dict[str, Entity], relations: frozenset[Relation],
+                 revision: int, adjacency: dict) -> EntityGraph:
+        """A graph over structures a mutator built for it; nothing is copied
+        or re-derived, so unchanged structures stay shared with the parent."""
+        graph = cls.__new__(cls)
+        graph._entities, graph._relations = entities, relations
+        graph.revision, graph._adjacency = revision, adjacency
+        return graph
+
+    def _adjacency_after(self, added=(), removed=()) -> dict:
+        """This graph's adjacency with relations added and removed. Only the
+        (entity, kind) keys they touch are rebuilt and sorted again."""
+        adjacency = {direction: dict(by_key) for direction, by_key in self._adjacency.items()}
+        edited: dict[tuple[str, str, str], set[str]] = {}
+        for relations, present in ((removed, False), (added, True)):
+            for rel in relations:
+                for direction, end, other in (("out", rel.source, rel.target),
+                                              ("in", rel.target, rel.source)):
+                    ids = edited.get((direction, end, rel.kind))
+                    if ids is None:
+                        ids = edited[(direction, end, rel.kind)] = set(
+                            adjacency[direction].get((end, rel.kind), ()))
+                    if present:
+                        ids.add(other)
+                    else:
+                        ids.discard(other)
+        for (direction, end, kind), ids in edited.items():
+            if ids:
+                adjacency[direction][(end, kind)] = tuple(sorted(ids))
+            else:
+                del adjacency[direction][(end, kind)]
+        return adjacency
+
     # -- read surface -------------------------------------------------------
 
     @property
@@ -136,16 +170,19 @@ class EntityGraph:
             raise DuplicateIdError(f"duplicate entity id {entity.id!r}")
         entities = dict(self._entities)
         entities[entity.id] = entity
-        return EntityGraph(entities, self._relations, self.revision + 1)
+        return self._derived(entities, self._relations, self.revision + 1, self._adjacency)
 
     def remove_entity(self, entity_id: str) -> EntityGraph:
         if entity_id not in self._entities:
             raise UnknownIdError(f"unknown entity {entity_id!r}")
         entities = dict(self._entities)
         del entities[entity_id]
-        relations = frozenset(r for r in self._relations
-                              if r.source != entity_id and r.target != entity_id)
-        return EntityGraph(entities, relations, self.revision + 1)
+        removed = {Relation(entity_id, target, kind) for kind in RELATION_KINDS
+                   for target in self.adjacent(entity_id, kind, "out")}
+        removed.update(Relation(source, entity_id, kind) for kind in RELATION_KINDS
+                       for source in self.adjacent(entity_id, kind, "in"))
+        return self._derived(entities, self._relations - removed, self.revision + 1,
+                             self._adjacency_after(removed=removed))
 
     def add_relation(self, relation: Relation) -> EntityGraph:
         for endpoint in (relation.source, relation.target):
@@ -154,13 +191,26 @@ class EntityGraph:
         if relation in self._relations:
             raise DuplicateIdError(
                 f"duplicate relation ({relation.source}, {relation.target}, {relation.kind})")
-        return EntityGraph(self._entities, self._relations | {relation}, self.revision + 1)
+        return self._derived(self._entities, self._relations | {relation}, self.revision + 1,
+                             self._adjacency_after(added=(relation,)))
 
     def remove_relation(self, relation: Relation) -> EntityGraph:
         if relation not in self._relations:
             raise UnknownIdError(
                 f"unknown relation ({relation.source}, {relation.target}, {relation.kind})")
-        return EntityGraph(self._entities, self._relations - {relation}, self.revision + 1)
+        return self._derived(self._entities, self._relations - {relation}, self.revision + 1,
+                             self._adjacency_after(removed=(relation,)))
+
+    def diff(self, old: EntityGraph) -> tuple[set[str], frozenset[Relation]]:
+        """What differs from ``old``: the ids of entities added, removed or
+        replaced (same id, another record), and the relations in one graph
+        but not the other."""
+        if self._entities is old._entities:
+            ids: set[str] = set()
+        else:
+            ids = {eid for eid, e in self._entities.items() if old._entities.get(eid) is not e}
+            ids.update(old._entities.keys() - self._entities.keys())
+        return ids, self._relations ^ old._relations
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EntityGraph):

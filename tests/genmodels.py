@@ -87,10 +87,11 @@ def random_topology(rng: random.Random, cb: Codebook,
 
 def random_mutation(rng: random.Random, graph: EntityGraph, cb: Codebook,
                     counter: list[int]) -> EntityGraph:
-    """Apply one random structurally valid mutation."""
+    """Apply one random structurally valid mutation. A replacement removes
+    an entity and re-adds its id, with a random type, and its relations."""
     choices = ["add_entity"]
     if len(graph) > 1:
-        choices += ["remove_entity", "add_relation"]
+        choices += ["remove_entity", "add_relation", "replace_entity"]
     if graph.relations:
         choices.append("remove_relation")
     op = rng.choice(choices)
@@ -101,6 +102,15 @@ def random_mutation(rng: random.Random, graph: EntityGraph, cb: Codebook,
                                        entity_type=rng.choice(sorted(cb.type_names()))))
     if op == "remove_entity":
         return graph.remove_entity(rng.choice(sorted(graph.entity_ids())))
+    if op == "replace_entity":
+        eid = rng.choice(sorted(graph.entity_ids()))
+        relations = sorted((r for r in graph.relations if eid in (r.source, r.target)),
+                           key=lambda r: (r.source, r.target, r.kind))
+        graph = graph.remove_entity(eid).add_entity(
+            Entity(id=eid, name=eid, entity_type=rng.choice(sorted(cb.type_names()))))
+        for rel in relations:
+            graph = graph.add_relation(rel)
+        return graph
     if op == "remove_relation":
         return graph.remove_relation(rng.choice(sorted(
             graph.relations, key=lambda r: (r.source, r.target, r.kind))))
@@ -115,6 +125,28 @@ def random_mutation(rng: random.Random, graph: EntityGraph, cb: Codebook,
     eid = f"m{counter[0]}"
     return graph.add_entity(Entity(id=eid, name=eid,
                                    entity_type=rng.choice(sorted(cb.type_names()))))
+
+
+def assert_same_causality(actual: CausalityGraph, expected: CausalityGraph):
+    """Everything a reader of ``actual`` sees equals ``expected``, dict order
+    included: instances, edges with their derivations, truncations, and the
+    per-cause and per-symptom indexes agree with the edges."""
+    assert actual.topology_revision == expected.topology_revision
+    assert list(actual.causes.items()) == list(expected.causes.items())
+    assert list(actual.symptoms.items()) == list(expected.symptoms.items())
+    assert list(actual.edges.items()) == list(expected.edges.items())
+    assert actual.truncations == expected.truncations
+    assert actual.entity_types == expected.entity_types
+    assert actual.attribute_decls == expected.attribute_decls
+    edges_from: dict[str, list[CausalEdge]] = {}
+    causes_of: dict[str, set[str]] = {}
+    for (cid, sid), edge in actual.edges.items():
+        edges_from.setdefault(cid, []).append(edge)
+        causes_of.setdefault(sid, set()).add(cid)
+    for cid in actual.causes:
+        assert actual.edges_from(cid) == edges_from.get(cid, [])
+    for sid in actual.symptoms:
+        assert actual.causes_of(sid) == causes_of.get(sid, set())
 
 
 # -- synthetic bipartite graphs for inference tests ---------------------------

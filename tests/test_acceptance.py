@@ -26,7 +26,7 @@ from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
 from cie.service import METHODS, handle, serve
 from cie.topology import Entity, EntityGraph, Relation
 
-from genmodels import (brute_force_ranking, random_active_set,
+from genmodels import (assert_same_causality, brute_force_ranking, random_active_set,
                        random_attribute_dag, random_codebook,
                        random_inference_graph, random_mutation,
                        random_topological_order, random_topology,
@@ -326,3 +326,38 @@ def test_scale_sanity_1000_entities(capsys, scale_engine):
     slowest = max(worst, key=worst.get)
     announce(capsys, "scale sanity: 6 methods on 1000 entities, slowest "
                      f"{slowest} at {worst[slowest] * 1000:.1f} ms (< 100 ms)")
+
+
+def test_refresh_equals_instantiate_at_5000_entities(capsys):
+    # A 4k-service call tree, each service on one of 1k hosts; depth 3 keeps
+    # the two full builds affordable and makes truncations move too. Every
+    # refresh builds on the last one, so a wrong block carries to the end.
+    rng = random.Random(5000)
+    cb = Codebook(
+        types=(EntityTypeDef("service", ("error_rate",)), EntityTypeDef("host", ("cpu",))),
+        root_causes=(RootCauseDef("defect", "service", (("errors", 0.9), ("slow", 0.3))),
+                     RootCauseDef("cpu_starved", "host", (("busy", 0.9),))),
+        symptoms=(SymptomDef("errors", "service"), SymptomDef("slow", "service"),
+                  SymptomDef("busy", "host")),
+        rules=(PropagationRule("errors-to-callers", "errors", "conn", "reverse", "errors", 0.8),
+               PropagationRule("slow-to-callers", "slow", "conn", "reverse", "slow", 0.7),
+               PropagationRule("busy-slows-tenants", "busy", "layer", "reverse", "slow", 0.6)),
+        version="scale")
+    services = [f"svc{i:04d}" for i in range(4000)]
+    hosts = [f"host{i:04d}" for i in range(1000)]
+    entities = {eid: Entity(id=eid, name=eid, entity_type="service") for eid in services}
+    entities.update((eid, Entity(id=eid, name=eid, entity_type="host")) for eid in hosts)
+    relations = set()
+    for i in range(1, len(services)):
+        relations.add(Relation(services[rng.randrange(i)], services[i], "conn"))
+        relations.add(Relation(services[i], rng.choice(hosts), "layer"))
+    graph = EntityGraph(entities, frozenset(relations))
+    cg = instantiate(graph, cb, max_depth=3)
+    assert cg.truncations
+    counter = [0]
+    for _ in range(6):
+        for _ in range(rng.randint(1, 4)):
+            graph = random_mutation(rng, graph, cb, counter)
+        cg = refresh(cg, graph, cb, max_depth=3)
+    assert_same_causality(cg, instantiate(graph, cb, max_depth=3))
+    announce(capsys, "refresh == instantiate at 5000 entities over 6 mutation batches")

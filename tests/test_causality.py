@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cie.causality import (dump_graph, instantiate, recompute_edge_probability,
-                           refresh)
+from cie.causality import (CausalityGraph, dump_graph, instantiate,
+                           recompute_edge_probability, refresh)
 from cie.errors import DocumentError, UnknownIdError
 from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
-                                RootCauseDef, SymptomDef)
+                                PropagationRule, RootCauseDef, SymptomDef)
 from cie.topology import Entity, EntityGraph, Relation
 
-from genmodels import (brute_force_edges, random_codebook, random_mutation,
-                       random_topology)
+from genmodels import (assert_same_causality, brute_force_edges, random_codebook,
+                       random_mutation, random_topology)
 
 # deep enough that no random model in this file can hit the limit
 UNBOUNDED = 64
@@ -198,6 +198,96 @@ def test_refresh_equals_full_rebuild_after_mutations(seed):
         graph = random_mutation(rng, graph, cb, counter)
         cg = refresh(cg, graph, cb)
         assert cg == instantiate(graph, cb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_refresh_equals_full_rebuild_after_mutation_batches(seed):
+    # Several mutations between two refreshes, as Engine applies a pod
+    # replacement; shallow depths make the truncations move too.
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    graph = random_topology(rng, cb)
+    max_depth = rng.choice((0, 1, 2, 3, 8))
+    cg = instantiate(graph, cb, max_depth=max_depth)
+    counter = [0]
+    for _ in range(rng.randint(1, 4)):
+        for _ in range(rng.randint(1, 4)):
+            graph = random_mutation(rng, graph, cb, counter)
+        cg = refresh(cg, graph, cb, max_depth=max_depth)
+        assert_same_causality(cg, instantiate(graph, cb, max_depth=max_depth))
+
+
+def test_refresh_after_replacing_an_entity(chain_codebook, chain_topology):
+    # Re-adding a removed id with another type and the same relations leaves
+    # the relation set unchanged; only the records differ.
+    cb = Codebook(types=chain_codebook.types + (EntityTypeDef("db", ("error_rate",)),),
+                  root_causes=chain_codebook.root_causes, symptoms=chain_codebook.symptoms,
+                  rules=chain_codebook.rules)
+    cg = instantiate(chain_topology, cb)
+    for entity_type in ("db", "service"):
+        graph = chain_topology.remove_entity("B").add_entity(
+            Entity(id="B", name="B", entity_type=entity_type))
+        for rel in sorted(chain_topology.relations, key=lambda r: (r.source, r.target)):
+            graph = graph.add_relation(rel)
+        assert graph.relations == chain_topology.relations
+        refreshed = refresh(cg, graph, cb)
+        assert_same_causality(refreshed, instantiate(graph, cb))
+        assert ("defect@C" in refreshed.causes_of("high_error_rate@A")) == (
+            entity_type == "service")
+
+
+def test_refresh_recomputes_every_cause_sharing_an_invalidated_closure():
+    # Causes one and two on X share the local symptom a. The new call Y -> X
+    # extends the closures from X to a@Y, so both causes gain an edge there
+    # (two's through b, the likelier derivation) and neither may keep its
+    # old block; the causes on Z are untouched.
+    cb = Codebook(
+        types=(EntityTypeDef("svc", ("x",)),),
+        root_causes=(RootCauseDef("one", "svc", local_symptoms=(("a", 0.6),)),
+                     RootCauseDef("two", "svc", local_symptoms=(("a", 0.3), ("b", 0.9)))),
+        symptoms=(SymptomDef("a", "svc"), SymptomDef("b", "svc")),
+        rules=(PropagationRule("a-up", "a", "conn", "reverse", "a", 0.8),
+               PropagationRule("b-up", "b", "conn", "reverse", "a", 0.5)))
+    graph = EntityGraph()
+    for eid in ("X", "Y", "Z"):
+        graph = graph.add_entity(Entity(id=eid, name=eid, entity_type="svc"))
+    cg = instantiate(graph, cb)
+    assert cg.causes_of("a@Y") == {"one@Y", "two@Y"}
+
+    grown = graph.add_relation(Relation("Y", "X", "conn"))
+    refreshed = refresh(cg, grown, cb)
+    assert_same_causality(refreshed, instantiate(grown, cb))
+    assert refreshed.causes_of("a@Y") == {"one@X", "two@X", "one@Y", "two@Y"}
+    assert refreshed.edge("one@X", "a@Y").probability == 0.6 * 0.8
+    assert refreshed.edge("two@X", "a@Y").origin_symptom == "b"
+    assert refreshed.edges_from("one@Z")[0] is cg.edges_from("one@Z")[0]
+
+    shrunk = refresh(refreshed, graph, cb)
+    assert_same_causality(shrunk, instantiate(graph, cb))
+
+
+def test_refresh_rebuilds_hand_built_graphs_and_other_parameters(chain_codebook,
+                                                                 chain_topology):
+    # Adding a lone entity touches no closure, so reusing any block here
+    # would keep an answer a full build does not give: the hand-built graph
+    # lacks defect@C's edges, and the other depth and codebook change them.
+    cg = instantiate(chain_topology, chain_codebook)
+    grown = chain_topology.add_entity(Entity(id="D", name="D", entity_type="service"))
+    by_hand = CausalityGraph(dict(cg.causes), dict(cg.symptoms),
+                             {key: e for key, e in cg.edges.items() if key[0] != "defect@C"},
+                             cg.topology_revision, dict(cg.entity_types),
+                             dict(cg.attribute_decls))
+    assert_same_causality(refresh(by_hand, grown, chain_codebook),
+                          instantiate(grown, chain_codebook))
+    assert_same_causality(refresh(cg, grown, chain_codebook, max_depth=1),
+                          instantiate(grown, chain_codebook, max_depth=1))
+    (rule,) = chain_codebook.rules
+    weaker = Codebook(chain_codebook.types, chain_codebook.root_causes,
+                      chain_codebook.symptoms,
+                      (PropagationRule(rule.rule_id, rule.from_symptom, rule.over_relation,
+                                       rule.traversal, rule.to_symptom, 0.5),))
+    assert_same_causality(refresh(cg, grown, weaker), instantiate(grown, weaker))
 
 
 @settings(max_examples=40, deadline=None)

@@ -191,6 +191,15 @@ def test_remediation_unknown_entity(shop):
         remediation_alignment(topology, cg, br, "ghost")
 
 
+def test_remediation_host_missing_from_topology(shop):
+    # A causality graph older than the topology can name a host that is gone.
+    topology, cg, cb = shop
+    br = blast_radius(topology, cg, cb, PAYMENT_DEFECT)
+    without_host = topology.remove_entity("payment")
+    with pytest.raises(UnknownIdError, match="unknown entity 'payment'"):
+        remediation_alignment(without_host, cg, br, "checkout")
+
+
 def test_remediation_total_over_scenario_entities(shop):
     topology, cg, cb = shop
     br = blast_radius(topology, cg, cb, PAYMENT_DEFECT)

@@ -250,3 +250,37 @@ def test_adjacent_is_sorted_relation_scan(seed):
                 r.target for r in graph.relations if r.source == eid and r.kind == kind))
             assert graph.adjacent(eid, kind, "in") == tuple(sorted(
                 r.source for r in graph.relations if r.target == eid and r.kind == kind))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_adjacent_after_mutations_is_sorted_relation_scan(seed):
+    # Mutators derive adjacency from the parent's; it must match a scan of
+    # the relations after removals and replacements too.
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    graph = random_topology(rng, cb)
+    counter = [0]
+    for _ in range(rng.randint(1, 8)):
+        graph = random_mutation(rng, graph, cb, counter)
+    for eid in graph.entity_ids():
+        for kind in RELATION_KINDS:
+            assert graph.adjacent(eid, kind, "out") == tuple(sorted(
+                r.target for r in graph.relations if r.source == eid and r.kind == kind))
+            assert graph.adjacent(eid, kind, "in") == tuple(sorted(
+                r.source for r in graph.relations if r.target == eid and r.kind == kind))
+    assert graph._adjacency == EntityGraph(graph.entities, graph.relations)._adjacency
+
+
+def test_diff_names_changed_entities_and_relations():
+    graph = EntityGraph()
+    for eid in ("a", "b", "c"):
+        graph = graph.add_entity(entity(eid))
+    graph = graph.add_relation(Relation("a", "b", "conn"))
+    assert graph.add_relation(Relation("b", "c", "layer")).diff(graph) == (
+        set(), frozenset({Relation("b", "c", "layer")}))
+    replaced = graph.remove_entity("b").add_entity(entity("b")).add_relation(
+        Relation("a", "b", "conn"))
+    assert replaced.diff(graph) == ({"b"}, frozenset())
+    assert graph.remove_entity("a").diff(graph) == (
+        {"a"}, frozenset({Relation("a", "b", "conn")}))
