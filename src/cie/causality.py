@@ -11,12 +11,16 @@ with fewest-hops-then-lexicographic tie-breaks for determinism. The rule
 closure behind it (``rule_closure``) also serves the blast radius in
 ``impact``, ordered by hop count instead.
 
-Each cause's edges form one block, and every state its closure settles
-becomes one of them, so the edges also record which entities the closure
-visited. ``refresh`` uses that record after a topology change: only the
-causes that visited a changed entity run their closure again, and every
-other cause keeps its block (the dynamic shortest-path idea of Ramalingam
-and Reps, 1996, over the precompiled codebook of Yemini et al., 1996).
+Each cause's edges form one block, compiled on demand: ``instantiate``
+builds the instances only, and a block is compiled the first time it is
+read and memoized on the graph. ``causes_of`` finds the causes of a symptom
+by walking the rules backwards from it, so a query compiles only the blocks
+of the causes that can explain what it asks about (demand-driven evaluation
+of recursive rules, the magic sets of Bancilhon et al., 1986, over the
+compiled codebook of Yemini et al., 1996). The memo only ever gains fully
+built values, so a graph stays value-immutable: every reader gets the same
+answers, whenever and from whichever thread it asks. ``refresh`` hands out a
+fresh graph for a new topology revision.
 """
 
 from __future__ import annotations
@@ -71,10 +75,10 @@ class CausalityGraph:
     """Bipartite cause→symptom snapshot tied to one topology revision.
 
     The graph owns the dicts it is given and never copies them, so callers
-    must not change them afterwards. ``blocks`` holds each cause's edges,
-    keyed as in ``edges``. ``edges`` may be None when ``blocks`` is given;
-    it is then built on first read, cause by cause. ``blocks`` and
-    ``causes_by_symptom`` are derived from ``edges`` when not given.
+    must not change them afterwards. A graph given its ``edges`` holds them
+    all from the start. ``instantiate`` passes None instead and records what
+    it built the graph from; each cause's block is then compiled on first
+    read, and ``edges`` and ``truncations`` compile every missing one.
     """
 
     def __init__(self, causes: dict[str, RootCauseInstance],
@@ -83,37 +87,81 @@ class CausalityGraph:
                  topology_revision: int,
                  entity_types: dict[str, str],
                  attribute_decls: dict[str, tuple[str, ...]],
-                 truncations: tuple[str, ...] = (), *,
-                 blocks: dict[str, dict[tuple[str, str], CausalEdge]] | None = None,
-                 causes_by_symptom: dict[str, tuple[str, ...]] | None = None):
+                 truncations: tuple[str, ...] = ()):
         self.causes = causes
         self.symptoms = symptoms
-        self._edges = edges
         self.topology_revision = topology_revision
         self.entity_types = entity_types
         self.attribute_decls = attribute_decls
-        self.truncations = tuple(truncations)
-        if blocks is None:
-            blocks = {}
-            for key, edge in edges.items():
-                blocks.setdefault(key[0], {})[key] = edge
-        if causes_by_symptom is None:
-            causes_by_symptom = _causes_by_symptom({}, (), blocks.items())
-        self._out = blocks
-        self._in = causes_by_symptom
-        # What instantiate built this graph from, for refresh; None when the
-        # graph was built by hand.
+        self._edges = edges
+        self._truncations = None if edges is None else tuple(truncations)
+        # The memo: compiled blocks by cause, keyed as in ``edges``; the
+        # truncation messages of the compiled blocks that have any; and the
+        # causes of each symptom asked about. Each entry is written once,
+        # fully built, messages before their block, so a reader in another
+        # thread sees a block whole, with its messages, or not at all.
+        self._out: dict[str, dict[tuple[str, str], CausalEdge]] = {}
+        self._messages: dict[str, frozenset[str]] = {}
+        self._in: dict[str, tuple[str, ...]] = {}
+        # What instantiate built this graph from; None when given its edges.
         self._source: tuple[EntityGraph, Codebook, int] | None = None
-        self._truncations_by_cause: dict[str, frozenset[str]] = {}
+        if edges is not None:
+            causes_of: dict[str, list[str]] = {}
+            for cid in causes:
+                self._out[cid] = {}
+            for key, edge in edges.items():
+                self._out.setdefault(key[0], {})[key] = edge
+                causes_of.setdefault(key[1], []).append(key[0])
+            self._in = {sid: tuple(cids) for sid, cids in causes_of.items()}
 
     @property
     def edges(self) -> dict[tuple[str, str], CausalEdge]:
         if self._edges is None:
             edges: dict[tuple[str, str], CausalEdge] = {}
             for cid in self.causes:
-                edges.update(self._out.get(cid, ()))
+                edges.update(self._block(cid))
             self._edges = edges
         return self._edges
+
+    @property
+    def truncations(self) -> tuple[str, ...]:
+        """Every depth-limit message of every block, sorted."""
+        if self._truncations is None:
+            messages: set[str] = set()
+            for cid in self.causes:
+                self._block(cid)
+                messages.update(self._messages.get(cid, ()))
+            self._truncations = tuple(sorted(messages))
+        return self._truncations
+
+    def _block(self, cause_id: str) -> dict[tuple[str, str], CausalEdge]:
+        """The edge block of ``cause_id``, compiled and memoized if missing."""
+        block = self._out.get(cause_id)
+        if block is None:
+            cause = self.causes.get(cause_id)
+            if cause is None or self._source is None:
+                return {}
+            graph, cb, max_depth = self._source
+            block, messages = _compile(graph, cb, max_depth, self.entity_types, cause)
+            if messages:
+                self._messages[cause_id] = messages
+            self._out[cause_id] = block
+        return block
+
+    def _candidates(self, symptom_id: str) -> dict[str, None]:
+        """A superset of the causes of ``symptom_id``: those whose local
+        symptom the rules reach within ``max_depth`` hops backwards from it.
+        The closure behind a block only settles states within ``max_depth``
+        hops of a local symptom, so no other cause's block can hold it."""
+        inst = self.symptoms.get(symptom_id)
+        if inst is None or self._source is None:
+            return {}
+        graph, cb, max_depth = self._source
+        reach, _ = rule_closure(graph, cb, self.entity_types,
+                                [(inst.symptom_name, inst.host_entity, ())],
+                                max_depth, by_probability=False, steps=cb.back_steps)
+        return {instance_id(cdef.cause_name, ent): None
+                for sym, ent in reach for cdef in cb.local_causes[sym]}
 
     def cause(self, cause_id: str) -> RootCauseInstance:
         try:
@@ -130,17 +178,25 @@ class CausalityGraph:
     def effects(self, cause_id: str) -> set[str]:
         """Symptom instance ids with an edge from ``cause_id``."""
         self.cause(cause_id)
-        return {sid for _, sid in self._out.get(cause_id, ())}
+        return {sid for _, sid in self._block(cause_id)}
 
     def edge(self, cause_id: str, symptom_id: str) -> CausalEdge | None:
         block = self._out.get(cause_id)
-        return None if block is None else block.get((cause_id, symptom_id))
+        if block is None:
+            block = self._block(cause_id)
+        return block.get((cause_id, symptom_id))
 
     def edges_from(self, cause_id: str) -> list[CausalEdge]:
-        return list(self._out.get(cause_id, {}).values())
+        return list(self._block(cause_id).values())
 
     def causes_of(self, symptom_id: str) -> set[str]:
-        return set(self._in.get(symptom_id, ()))
+        found = self._in.get(symptom_id)
+        if found is None:
+            found = tuple(cid for cid in self._candidates(symptom_id)
+                          if (cid, symptom_id) in self._block(cid))
+            if symptom_id in self.symptoms:
+                self._in[symptom_id] = found
+        return set(found)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CausalityGraph):
@@ -152,8 +208,7 @@ class CausalityGraph:
 
     def __repr__(self) -> str:
         return (f"CausalityGraph(causes={len(self.causes)}, symptoms={len(self.symptoms)}, "
-                f"edges={sum(map(len, self._out.values()))}, "
-                f"revision={self.topology_revision})")
+                f"compiled_blocks={len(self._out)}, revision={self.topology_revision})")
 
 
 def instance_id(name: str, entity_id: str) -> str:
@@ -161,7 +216,7 @@ def instance_id(name: str, entity_id: str) -> str:
 
 
 def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
-                 starts, max_depth: int, by_probability: bool):
+                 starts, max_depth: int, by_probability: bool, steps=None):
     """The rule closure from ``starts``, a sequence of (symptom, entity,
     derivation) states: every (symptom, entity) state the codebook's rules
     reach over ``graph``, each settled once.
@@ -173,7 +228,12 @@ def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
     truncated)``: ``settled`` maps each state, in pop order, to (relative
     probability, start derivation + the DerivationHops taken), and
     ``truncated`` holds the states whose expansion hit ``max_depth``.
+    ``steps`` is ``cb.steps`` unless given; ``cb.back_steps`` walks the
+    rules backwards, so a state is settled when the rules lead from it to
+    a start.
     """
+    if steps is None:
+        steps = cb.steps
     heap = [((-1.0, 0, ent, sym, i) if by_probability else (0, i), 0, 1.0, sym, ent, hops)
             for i, (sym, ent, hops) in enumerate(starts)]
     heapq.heapify(heap)
@@ -185,9 +245,9 @@ def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
         if (sym, ent) in settled:
             continue
         settled[(sym, ent)] = (prob, hops)
-        for kind, rule, direction, target_type in cb.steps[sym]:
+        for kind, rule, direction, next_type, next_sym in steps[sym]:
             for nbr in graph.adjacent(ent, kind, direction):
-                if entity_types.get(nbr) != target_type or (rule.to_symptom, nbr) in settled:
+                if entity_types.get(nbr) != next_type or (next_sym, nbr) in settled:
                     continue
                 if n_hops >= max_depth:
                     truncated.add((sym, ent))
@@ -198,31 +258,23 @@ def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
                     hop = DerivationHop(rule.rule_id, nbr, ent, kind)
                 counter += 1
                 p = prob * rule.attenuation
-                key = ((-p, n_hops + 1, nbr, rule.to_symptom, counter) if by_probability
+                key = ((-p, n_hops + 1, nbr, next_sym, counter) if by_probability
                        else (n_hops + 1, counter))
-                heapq.heappush(heap, (key, n_hops + 1, p, rule.to_symptom, nbr, hops + (hop,)))
+                heapq.heappush(heap, (key, n_hops + 1, p, next_sym, nbr, hops + (hop,)))
     return settled, truncated
-
-
-# What a full build reuses.
-_NOTHING = CausalityGraph({}, {}, {}, 0, {}, {}, blocks={}, causes_by_symptom={})
 
 
 def instantiate(graph: EntityGraph, cb: Codebook,
                 max_depth: int = DEFAULT_MAX_DEPTH) -> CausalityGraph:
     """Apply the codebook to a topology snapshot.
 
-    Deterministic: equal inputs yield equal graphs including derivations.
-    Depth-limited rule application reports truncation as warnings on the
-    returned graph rather than failing.
+    Builds the cause and symptom instances, in sorted entity order; each
+    cause's edge block is compiled when first read. Deterministic: equal
+    inputs yield equal graphs including derivations. Depth-limited rule
+    application reports truncation as warnings on the returned graph
+    rather than failing. Raises DocumentError for an entity type the
+    codebook lacks.
     """
-    return _assemble(graph, cb, max_depth, *_instances(graph, cb))
-
-
-def _instances(graph: EntityGraph, cb: Codebook, previous: CausalityGraph = _NOTHING):
-    """Entity types, then the cause and symptom instances in sorted entity
-    order, reusing ``previous``'s instance objects under the same ids; raises
-    DocumentError for an entity type the codebook lacks."""
     entities = graph.entities
     by_type = {t: (cb.causes_for_type(t), cb.symptoms_for_type(t)) for t in cb.type_names()}
     causes: dict[str, RootCauseInstance] = {}
@@ -234,137 +286,60 @@ def _instances(graph: EntityGraph, cb: Codebook, previous: CausalityGraph = _NOT
         cdefs, sdefs = by_type[etype]
         for cdef in cdefs:
             cid = instance_id(cdef.cause_name, eid)
-            causes[cid] = previous.causes.get(cid) or RootCauseInstance(
-                id=cid, cause_name=cdef.cause_name, host_entity=eid, prior=cdef.prior)
+            causes[cid] = RootCauseInstance(id=cid, cause_name=cdef.cause_name,
+                                            host_entity=eid, prior=cdef.prior)
         for sdef in sdefs:
             sid = instance_id(sdef.symptom_name, eid)
-            symptoms[sid] = previous.symptoms.get(sid) or SymptomInstance(
-                id=sid, symptom_name=sdef.symptom_name, host_entity=eid,
-                activation=sdef.activation)
-    entity_types = {eid: e.entity_type for eid, e in entities.items()}
-    return entity_types, causes, symptoms
-
-
-def _assemble(graph: EntityGraph, cb: Codebook, max_depth: int,
-              entity_types: dict[str, str], causes: dict[str, RootCauseInstance],
-              symptoms: dict[str, SymptomInstance],
-              previous: CausalityGraph = _NOTHING,
-              stale: set[str] = frozenset()) -> CausalityGraph:
-    """Compile the edge block of every cause. A cause of ``previous``
-    outside ``stale`` keeps its block and truncation messages as they are;
-    every other cause runs its rule closure."""
-    dropped = stale | (previous.causes.keys() - causes.keys())
-    blocks = dict(previous._out)
-    messages_by_cause = dict(previous._truncations_by_cause)
-    for cid in dropped:
-        blocks.pop(cid, None)
-        messages_by_cause.pop(cid, None)
-    computed = [cid for cid in causes if cid in stale or cid not in previous.causes]
-    rules = cb.rules_by_id
-    closures: dict[tuple[str, str], tuple[dict, frozenset[str]]] = {}
-    for cid in computed:
-        eid = causes[cid].host_entity
-        block, messages = {}, frozenset()
-        for s0, p0 in cb.cause(causes[cid].cause_name).local_symptoms:
-            closure = closures.get((s0, eid))
-            if closure is None:
-                reach, truncated = rule_closure(graph, cb, entity_types, [(s0, eid, ())],
-                                                max_depth, by_probability=True)
-                closure = closures[(s0, eid)] = (reach, frozenset(
-                    f"depth limit {max_depth} reached expanding {s0}@{eid} "
-                    f"at {sym}@{ent}" for sym, ent in truncated))
-            reach, truncated_messages = closure
-            messages |= truncated_messages
-            for (sym, ent), (_, hops) in reach.items():
-                prob = p0
-                for hop in hops:
-                    prob *= rules[hop.rule_id].attenuation
-                key = (cid, instance_id(sym, ent))
-                existing = block.get(key)
-                if existing is None or prob > existing.probability:
-                    block[key] = CausalEdge(cause_id=cid, symptom_id=key[1],
-                                            probability=prob, origin_symptom=s0,
-                                            local_probability=p0, derivation=hops)
-        if block:
-            blocks[cid] = block
-        if messages:
-            messages_by_cause[cid] = messages
-
-    # Retract the blocks of stale and vanished causes, add the new ones.
-    causes_by_symptom = _causes_by_symptom(
-        dict(previous._in),
-        [(cid, previous._out[cid]) for cid in dropped if cid in previous._out],
-        [(cid, blocks[cid]) for cid in computed if cid in blocks])
-    cg = CausalityGraph(causes, symptoms, None,
-                        topology_revision=graph.revision,
-                        entity_types=entity_types,
-                        attribute_decls={t.type_name: t.attribute_decls for t in cb.types},
-                        truncations=sorted(frozenset().union(*messages_by_cause.values())),
-                        blocks=blocks, causes_by_symptom=causes_by_symptom)
+            symptoms[sid] = SymptomInstance(id=sid, symptom_name=sdef.symptom_name,
+                                            host_entity=eid, activation=sdef.activation)
+    cg = CausalityGraph(causes, symptoms, None, topology_revision=graph.revision,
+                        entity_types={eid: e.entity_type for eid, e in entities.items()},
+                        attribute_decls={t.type_name: t.attribute_decls for t in cb.types})
     cg._source = (graph, cb, max_depth)
-    cg._truncations_by_cause = messages_by_cause
     return cg
 
 
-def _causes_by_symptom(index: dict[str, tuple[str, ...]], retracted, added):
-    """``index`` (symptom -> cause ids) updated in place: the causes of the
-    ``retracted`` (cause, block) pairs leave the symptoms of their blocks,
-    and the causes of the ``added`` pairs join theirs."""
-    gone = {cid for cid, _ in retracted}
-    touched: dict[str, list[str]] = {}
-    for _, block in retracted:
-        for _, sid in block:
-            touched.setdefault(sid, [])
-    for cid, block in added:
-        for _, sid in block:
-            touched.setdefault(sid, []).append(cid)
-    for sid, joined in touched.items():
-        kept = [cid for cid in index.get(sid, ()) if cid not in gone]
-        if kept or joined:
-            index[sid] = tuple(kept + joined)
-        else:
-            del index[sid]
-    return index
+def _compile(graph: EntityGraph, cb: Codebook, max_depth: int,
+             entity_types: dict[str, str], cause: RootCauseInstance):
+    """One cause's edge block and its truncation messages: a max-probability
+    rule closure from each local symptom, the likelier edge kept where two
+    reach the same symptom."""
+    eid = cause.host_entity
+    rules = cb.rules_by_id
+    block: dict[tuple[str, str], CausalEdge] = {}
+    messages: set[str] = set()
+    for s0, p0 in cb.cause(cause.cause_name).local_symptoms:
+        reach, truncated = rule_closure(graph, cb, entity_types, [(s0, eid, ())],
+                                        max_depth, by_probability=True)
+        messages.update(f"depth limit {max_depth} reached expanding {s0}@{eid} "
+                        f"at {sym}@{ent}" for sym, ent in truncated)
+        for (sym, ent), (_, hops) in reach.items():
+            prob = p0
+            for hop in hops:
+                prob *= rules[hop.rule_id].attenuation
+            key = (cause.id, instance_id(sym, ent))
+            existing = block.get(key)
+            if existing is None or prob > existing.probability:
+                block[key] = CausalEdge(cause_id=cause.id, symptom_id=key[1],
+                                        probability=prob, origin_symptom=s0,
+                                        local_probability=p0, derivation=hops)
+    return block, frozenset(messages)
 
 
 def refresh(cg: CausalityGraph, graph: EntityGraph, cb: Codebook,
             max_depth: int = DEFAULT_MAX_DEPTH) -> CausalityGraph:
     """Bring a causality snapshot in line with ``graph``, the current topology.
 
-    Contract: the result equals ``instantiate(graph, cb, max_depth)``
-    exactly, edge insertion order, derivations and truncations included.
-
-    A cause's closure can change only if it settled a state on an entity
-    whose view changed: an endpoint of an added or removed relation; an
-    entity added, removed or replaced (same id, another record); or an old
-    or new neighbour of one, since the closure checks neighbour types.
-    Every settled state is an edge to a symptom on that entity, so the
-    causes of those symptoms in ``cg`` are the stale ones. They and the new
-    causes run their closures again through instantiate's own loop; every
-    other cause keeps its edges and truncation messages. A graph built by
-    hand, or from another codebook or ``max_depth``, is rebuilt in full.
+    Returns ``cg`` itself when ``instantiate`` built it from this very
+    graph, an equal codebook and the same ``max_depth``; otherwise a fresh
+    graph from ``instantiate``, so no block compiled for another revision
+    survives. A new revision costs its instances, then only the blocks its
+    queries read.
     """
-    if cg._source is None or cg._source[1] != cb or cg._source[2] != max_depth:
-        return instantiate(graph, cb, max_depth=max_depth)
-    old = cg._source[0]
-    if old is graph:
+    source = cg._source
+    if source is not None and source[0] is graph and source[1] == cb and source[2] == max_depth:
         return cg
-    changed_ids, changed_relations = graph.diff(old)
-    touched = set(changed_ids)
-    for rel in changed_relations:
-        touched.update((rel.source, rel.target))
-    for eid in changed_ids:
-        for g in (old, graph):
-            if eid in g:
-                touched |= g.neighbors(eid)
-    stale: set[str] = set()
-    for eid in touched:
-        if eid in cg.entity_types:
-            for sdef in cb.symptoms_for_type(cg.entity_types[eid]):
-                stale.update(cg._in.get(instance_id(sdef.symptom_name, eid), ()))
-    instances = (_instances(graph, cb, cg) if changed_ids
-                 else (cg.entity_types, cg.causes, cg.symptoms))
-    return _assemble(graph, cb, max_depth, *instances, previous=cg, stale=stale)
+    return instantiate(graph, cb, max_depth=max_depth)
 
 
 def recompute_edge_probability(edge: CausalEdge, cb: Codebook) -> float:

@@ -8,7 +8,10 @@ one. A snapshot binds one topology revision, the causality graph built from
 it and the active symptom set at bind time, so a response can never mix
 state from two revisions. The engine hands out the same snapshot until the
 topology revision or the observation sequence moves; the causality graph
-is rebuilt only when the revision moves.
+is replaced only when the revision moves. It compiles each cause's edge
+block the first time a query reads it and keeps it for the revision, so
+snapshots sharing the graph share that work; the memo adds only fully
+built values, and a snapshot's answers never change.
 """
 
 from __future__ import annotations

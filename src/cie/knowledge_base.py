@@ -94,17 +94,29 @@ class Codebook:
         self.rules_by_id: dict[str, PropagationRule] = {}
         self._validate()
         self._causes_by_name = {c.cause_name: c for c in self.root_causes}
-        # Step table for the rule-closure traversal: symptom -> ((relation
-        # kind, rule, adjacency direction, target type), ...) in
-        # RELATION_KINDS order, then by rule id.
-        self.steps: dict[str, tuple[tuple[str, PropagationRule, str, str], ...]] = {
+        # Step tables for the rule-closure traversal: symptom -> ((relation
+        # kind, rule, adjacency direction, next type, next symptom), ...) in
+        # RELATION_KINDS order, then by rule id. ``steps`` follows each rule
+        # from its from_symptom; ``back_steps`` walks it back from its
+        # to_symptom, over the same relation in the other direction.
+        self.steps: dict[str, tuple[tuple[str, PropagationRule, str, str, str], ...]] = {
             s.symptom_name: () for s in self.symptoms}
+        self.back_steps = dict(self.steps)
         for rule in sorted(self.rules, key=lambda r: (RELATION_KINDS.index(r.over_relation),
                                                       r.rule_id)):
-            direction = "out" if rule.traversal == "forward" else "in"
-            target_type = self._symptoms_by_name[rule.to_symptom].applies_to
-            self.steps[rule.from_symptom] += ((rule.over_relation, rule, direction,
-                                               target_type),)
+            forward = rule.traversal == "forward"
+            self.steps[rule.from_symptom] += ((
+                rule.over_relation, rule, "out" if forward else "in",
+                self._symptoms_by_name[rule.to_symptom].applies_to, rule.to_symptom),)
+            self.back_steps[rule.to_symptom] += ((
+                rule.over_relation, rule, "in" if forward else "out",
+                self._symptoms_by_name[rule.from_symptom].applies_to, rule.from_symptom),)
+        # Root causes by local symptom, each once, in declaration order.
+        self.local_causes: dict[str, tuple[RootCauseDef, ...]] = {
+            s.symptom_name: () for s in self.symptoms}
+        for c in self.root_causes:
+            for name in dict(c.local_symptoms):
+                self.local_causes[name] += (c,)
 
     def _validate(self):
         types = self._types_by_name
@@ -206,7 +218,7 @@ class Codebook:
         """Rules that fire from ``symptom_name`` across ``relation_kind`` edges,
         in rule-id order."""
         self.symptom(symptom_name)
-        return [rule for kind, rule, _, _ in self.steps[symptom_name] if kind == relation_kind]
+        return [rule for kind, rule, *_ in self.steps[symptom_name] if kind == relation_kind]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):

@@ -201,17 +201,6 @@ class EntityGraph:
         return self._derived(self._entities, self._relations - {relation}, self.revision + 1,
                              self._adjacency_after(removed=(relation,)))
 
-    def diff(self, old: EntityGraph) -> tuple[set[str], frozenset[Relation]]:
-        """What differs from ``old``: the ids of entities added, removed or
-        replaced (same id, another record), and the relations in one graph
-        but not the other."""
-        if self._entities is old._entities:
-            ids: set[str] = set()
-        else:
-            ids = {eid for eid, e in self._entities.items() if old._entities.get(eid) is not e}
-            ids.update(old._entities.keys() - self._entities.keys())
-        return ids, self._relations ^ old._relations
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EntityGraph):
             return NotImplemented

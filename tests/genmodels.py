@@ -6,7 +6,8 @@ import random
 
 from cie.attributes import (AttributeDependency, AttributeGraph, AttributeNode,
                             DependencyFunction)
-from cie.causality import CausalEdge, CausalityGraph, RootCauseInstance, SymptomInstance
+from cie.causality import (DEFAULT_MAX_DEPTH, CausalEdge, CausalityGraph, RootCauseInstance,
+                           SymptomInstance, instance_id, rule_closure)
 from cie.inference import ActiveSymptomSet
 from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
                                 PropagationRule, RootCauseDef, SymptomDef)
@@ -147,6 +148,53 @@ def assert_same_causality(actual: CausalityGraph, expected: CausalityGraph):
         assert actual.edges_from(cid) == edges_from.get(cid, [])
     for sid in actual.symptoms:
         assert actual.causes_of(sid) == causes_of.get(sid, set())
+
+
+def eager_causality(graph: EntityGraph, cb: Codebook,
+                    max_depth: int = DEFAULT_MAX_DEPTH) -> CausalityGraph:
+    """Reference build: every cause's edge block compiled up front, in
+    cause order, one closure per (local symptom, entity) shared by the
+    causes on that entity; the graph is given all its edges."""
+    entities = graph.entities
+    causes: dict[str, RootCauseInstance] = {}
+    symptoms: dict[str, SymptomInstance] = {}
+    for eid in sorted(entities):
+        etype = entities[eid].entity_type
+        for cdef in cb.causes_for_type(etype):
+            cid = instance_id(cdef.cause_name, eid)
+            causes[cid] = RootCauseInstance(id=cid, cause_name=cdef.cause_name,
+                                            host_entity=eid, prior=cdef.prior)
+        for sdef in cb.symptoms_for_type(etype):
+            sid = instance_id(sdef.symptom_name, eid)
+            symptoms[sid] = SymptomInstance(id=sid, symptom_name=sdef.symptom_name,
+                                            host_entity=eid, activation=sdef.activation)
+    entity_types = {eid: e.entity_type for eid, e in entities.items()}
+    edges: dict[tuple[str, str], CausalEdge] = {}
+    messages: set[str] = set()
+    closures: dict[tuple[str, str], dict] = {}
+    for cid, cause in causes.items():
+        eid = cause.host_entity
+        for s0, p0 in cb.cause(cause.cause_name).local_symptoms:
+            reach = closures.get((s0, eid))
+            if reach is None:
+                reach, truncated = rule_closure(graph, cb, entity_types, [(s0, eid, ())],
+                                                max_depth, by_probability=True)
+                closures[(s0, eid)] = reach
+                messages.update(f"depth limit {max_depth} reached expanding {s0}@{eid} "
+                                f"at {sym}@{ent}" for sym, ent in truncated)
+            for (sym, ent), (_, hops) in reach.items():
+                prob = p0
+                for hop in hops:
+                    prob *= cb.rules_by_id[hop.rule_id].attenuation
+                key = (cid, instance_id(sym, ent))
+                existing = edges.get(key)
+                if existing is None or prob > existing.probability:
+                    edges[key] = CausalEdge(cause_id=cid, symptom_id=key[1],
+                                            probability=prob, origin_symptom=s0,
+                                            local_probability=p0, derivation=hops)
+    return CausalityGraph(causes, symptoms, edges, graph.revision, entity_types,
+                          {t.type_name: t.attribute_decls for t in cb.types},
+                          truncations=tuple(sorted(messages)))
 
 
 # -- synthetic bipartite graphs for inference tests ---------------------------

@@ -26,8 +26,8 @@ from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
 from cie.service import METHODS, handle, serve
 from cie.topology import Entity, EntityGraph, Relation
 
-from genmodels import (assert_same_causality, brute_force_ranking, random_active_set,
-                       random_attribute_dag, random_codebook,
+from genmodels import (assert_same_causality, brute_force_ranking, eager_causality,
+                       random_active_set, random_attribute_dag, random_codebook,
                        random_inference_graph, random_mutation,
                        random_topological_order, random_topology,
                        recursive_evaluate)
@@ -330,8 +330,9 @@ def test_scale_sanity_1000_entities(capsys, scale_engine):
 
 def test_refresh_equals_instantiate_at_5000_entities(capsys):
     # A 4k-service call tree, each service on one of 1k hosts; depth 3 keeps
-    # the two full builds affordable and makes truncations move too. Every
-    # refresh builds on the last one, so a wrong block carries to the end.
+    # the full builds affordable and makes truncations move too. Each graph
+    # compiles some blocks before the next refresh, so a refresh that kept
+    # a block of an older revision would carry it to the end.
     rng = random.Random(5000)
     cb = Codebook(
         types=(EntityTypeDef("service", ("error_rate",)), EntityTypeDef("host", ("cpu",))),
@@ -356,8 +357,10 @@ def test_refresh_equals_instantiate_at_5000_entities(capsys):
     assert cg.truncations
     counter = [0]
     for _ in range(6):
+        for sid in rng.sample(sorted(cg.symptoms), 50):
+            cg.causes_of(sid)
         for _ in range(rng.randint(1, 4)):
             graph = random_mutation(rng, graph, cb, counter)
         cg = refresh(cg, graph, cb, max_depth=3)
-    assert_same_causality(cg, instantiate(graph, cb, max_depth=3))
+    assert_same_causality(cg, eager_causality(graph, cb, max_depth=3))
     announce(capsys, "refresh == instantiate at 5000 entities over 6 mutation batches")

@@ -1,20 +1,23 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cie import data
 from cie.causality import (CausalityGraph, dump_graph, instantiate,
                            recompute_edge_probability, refresh)
 from cie.errors import DocumentError, UnknownIdError
 from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
-                                PropagationRule, RootCauseDef, SymptomDef)
-from cie.topology import Entity, EntityGraph, Relation
+                                PropagationRule, RootCauseDef, SymptomDef, load_codebook)
+from cie.topology import Entity, EntityGraph, Relation, load_environment
 
-from genmodels import (assert_same_causality, brute_force_edges, random_codebook,
-                       random_mutation, random_topology)
+from genmodels import (assert_same_causality, brute_force_edges, eager_causality,
+                       random_codebook, random_mutation, random_topology)
 
 # deep enough that no random model in this file can hit the limit
 UNBOUNDED = 64
@@ -261,7 +264,7 @@ def test_refresh_recomputes_every_cause_sharing_an_invalidated_closure():
     assert refreshed.causes_of("a@Y") == {"one@X", "two@X", "one@Y", "two@Y"}
     assert refreshed.edge("one@X", "a@Y").probability == 0.6 * 0.8
     assert refreshed.edge("two@X", "a@Y").origin_symptom == "b"
-    assert refreshed.edges_from("one@Z")[0] is cg.edges_from("one@Z")[0]
+    assert refreshed.edges_from("one@Z") == cg.edges_from("one@Z")
 
     shrunk = refresh(refreshed, graph, cb)
     assert_same_causality(shrunk, instantiate(graph, cb))
@@ -311,3 +314,82 @@ def test_adding_relation_is_monotone(seed):
     for key, edge in before.edges.items():
         assert key in after.edges
         assert after.edges[key].probability >= edge.probability
+
+
+# -- on-demand compilation against the eager reference -------------------------
+
+SHOP_CODEBOOK = load_codebook(data.path("astronomy_shop_codebook.json").read_text())
+SHOP_TOPOLOGY = load_environment(data.path("astronomy_shop_env.json").read_text(),
+                                 codebook=SHOP_CODEBOOK)
+
+
+def check_reads_in_random_order(rng, graph, cb, max_depth, n_pairs):
+    """On a fresh on-demand graph, a random share of point reads in random
+    order, before any full read, then the full reads: all equal the eager
+    reference. The backward walk's candidates contain every true cause."""
+    expected = eager_causality(graph, cb, max_depth=max_depth)
+    cg = instantiate(graph, cb, max_depth=max_depth)
+    cids, sids = sorted(expected.causes) + ["phantom@e0"], sorted(expected.symptoms)
+    reads = ([("causes_of", sid) for sid in sids + ["phantom@e0"]]
+             + [("edges_from", cid) for cid in cids]
+             + [("edge", rng.choice(cids), rng.choice(sids)) for _ in range(n_pairs)]
+             + [("edge", *key) for key in rng.sample(list(expected.edges),
+                                                     min(n_pairs, len(expected.edges)))])
+    rng.shuffle(reads)
+    for name, *args in reads[:rng.randint(0, len(reads))]:
+        assert getattr(cg, name)(*args) == getattr(expected, name)(*args), (name, args)
+    assert_same_causality(cg, expected)
+    for sid in sids:
+        assert set(cg._candidates(sid)) >= expected.causes_of(sid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=8))
+def test_on_demand_reads_equal_the_eager_build(seed, max_depth):
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    check_reads_in_random_order(rng, random_topology(rng, cb), cb, max_depth, n_pairs=60)
+
+
+@pytest.mark.parametrize("max_depth", range(9))
+def test_on_demand_reads_equal_the_eager_build_on_the_shop(max_depth):
+    check_reads_in_random_order(random.Random(max_depth), SHOP_TOPOLOGY, SHOP_CODEBOOK,
+                                max_depth, n_pairs=300)
+
+
+def test_threads_sharing_an_on_demand_graph_read_the_eager_answers():
+    # Four readers race through one fresh graph's point reads; every block
+    # and candidate tuple is memoized as one fully built value, so each
+    # reader sees the reference answers whoever compiled them.
+    expected = eager_causality(SHOP_TOPOLOGY, SHOP_CODEBOOK)
+    want = ({sid: expected.causes_of(sid) for sid in expected.symptoms},
+            {cid: expected.edges_from(cid) for cid in expected.causes})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            cg = instantiate(SHOP_TOPOLOGY, SHOP_CODEBOOK)
+            start = threading.Barrier(4, timeout=30)
+            results = []
+
+            def read(seed, cg=cg, start=start, results=results):
+                rng = random.Random(seed)
+                sids, cids = list(cg.symptoms), list(cg.causes)
+                rng.shuffle(sids)
+                rng.shuffle(cids)
+                start.wait()
+                results.append(({sid: cg.causes_of(sid) for sid in sids},
+                                 {cid: cg.edges_from(cid) for cid in cids}))
+
+            threads = [threading.Thread(target=read, args=(round_ * 4 + i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == 4
+            assert all(result == want for result in results)
+            assert_same_causality(cg, expected)
+    finally:
+        sys.setswitchinterval(interval)

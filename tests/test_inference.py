@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from cie.causality import (CausalEdge, CausalityGraph, RootCauseInstance,
                            SymptomInstance, instantiate)
+from cie.engine import EngineSnapshot
 from cie.errors import DocumentError, UnknownIdError
 from cie.inference import (ActiveSymptomSet, activate_symptoms, assess_health,
                            attribute_sample, localize, log_score, parse_observations,
                            render_observations, score, symptom_event)
 from cie.knowledge_base import ActivationSpec
+from cie.service import handle
 
-from genmodels import brute_force_ranking, random_active_set, random_inference_graph
+from genmodels import (brute_force_ranking, eager_causality, random_active_set,
+                       random_inference_graph)
 
 LEAK = 1e-3
 
@@ -182,6 +185,25 @@ def test_localize_fallback_to_all_causes():
     assert [e.cause_id for e in localize(cg, active).ranked] == ["r1@h", "r2@h"]
     assert localize(cg, active, include_all_when_empty=False).ranked == ()
 
+
+def test_orphan_symptom_fallback_equal_on_demand_and_eager(shop_engine):
+    # No cause explains a crash loop on a -pod-0, so localize scores every
+    # cause: the one serving path that compiles every block of a revision.
+    graph, cb = shop_engine.topology, shop_engine.codebook
+    on_demand, eager = instantiate(graph, cb), eager_causality(graph, cb)
+    sid = "pod_crash_loop@frontend-pod-0"
+    assert not eager.causes_of(sid)
+    active = ActiveSymptomSet(frozenset({sid}), as_of=1)
+    diagnosis = localize(on_demand, active, leak=LEAK)
+    assert len(diagnosis.ranked) == len(eager.causes)
+    assert diagnosis == localize(eager, active, leak=LEAK)
+    for method in ("get_root_causes", "get_environment_health"):
+        answers = [handle({"id": 1, "method": method},
+                          EngineSnapshot(graph, cb, cg, {sid}, None, LEAK,
+                                         shop_engine.max_depth, as_of=1)).to_dict()
+                   for cg in (instantiate(graph, cb), eager)]
+        assert answers[0] == answers[1]
+        assert answers[0]["status"] == "ok"
 
 # -- assess_health --------------------------------------------------------------
 

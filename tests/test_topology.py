@@ -270,17 +270,3 @@ def test_adjacent_after_mutations_is_sorted_relation_scan(seed):
             assert graph.adjacent(eid, kind, "in") == tuple(sorted(
                 r.source for r in graph.relations if r.target == eid and r.kind == kind))
     assert graph._adjacency == EntityGraph(graph.entities, graph.relations)._adjacency
-
-
-def test_diff_names_changed_entities_and_relations():
-    graph = EntityGraph()
-    for eid in ("a", "b", "c"):
-        graph = graph.add_entity(entity(eid))
-    graph = graph.add_relation(Relation("a", "b", "conn"))
-    assert graph.add_relation(Relation("b", "c", "layer")).diff(graph) == (
-        set(), frozenset({Relation("b", "c", "layer")}))
-    replaced = graph.remove_entity("b").add_entity(entity("b")).add_relation(
-        Relation("a", "b", "conn"))
-    assert replaced.diff(graph) == ({"b"}, frozenset())
-    assert graph.remove_entity("a").diff(graph) == (
-        {"a"}, frozenset({Relation("a", "b", "conn")}))
