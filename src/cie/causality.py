@@ -216,25 +216,28 @@ def instance_id(name: str, entity_id: str) -> str:
 
 
 def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
-                 starts, max_depth: int, by_probability: bool, steps=None):
+                 starts, max_depth: int, by_probability: bool, steps=None,
+                 start_probability: float = 1.0):
     """The rule closure from ``starts``, a sequence of (symptom, entity,
     derivation) states: every (symptom, entity) state the codebook's rules
     reach over ``graph``, each settled once.
 
-    ``by_probability`` pops states by (-relative probability, hops, entity,
-    symptom), a max-product Dijkstra; otherwise by hop count, then discovery
-    order. Hops count from 0 at every start; the relative probability is the
-    product of the attenuations applied after the start. Returns ``(settled,
-    truncated)``: ``settled`` maps each state, in pop order, to (relative
-    probability, start derivation + the DerivationHops taken), and
-    ``truncated`` holds the states whose expansion hit ``max_depth``.
+    ``by_probability`` pops states by (-probability, hops, entity, symptom),
+    a max-product Dijkstra; otherwise by hop count, then discovery order.
+    Hops count from 0 at every start; a state's probability is
+    ``start_probability`` times the attenuations applied after the start,
+    folded left to right. Returns ``(settled, truncated)``: ``settled`` maps
+    each state, in pop order, to (probability, start derivation + the
+    DerivationHops taken), and ``truncated`` holds the states whose
+    expansion hit ``max_depth``.
     ``steps`` is ``cb.steps`` unless given; ``cb.back_steps`` walks the
     rules backwards, so a state is settled when the rules lead from it to
     a start.
     """
     if steps is None:
         steps = cb.steps
-    heap = [((-1.0, 0, ent, sym, i) if by_probability else (0, i), 0, 1.0, sym, ent, hops)
+    p0 = start_probability
+    heap = [((-p0, 0, ent, sym, i) if by_probability else (0, i), 0, p0, sym, ent, hops)
             for i, (sym, ent, hops) in enumerate(starts)]
     heapq.heapify(heap)
     counter = len(heap)  # unique key tail keeps unorderable hop tuples out of comparisons
@@ -303,20 +306,18 @@ def _compile(graph: EntityGraph, cb: Codebook, max_depth: int,
              entity_types: dict[str, str], cause: RootCauseInstance):
     """One cause's edge block and its truncation messages: a max-probability
     rule closure from each local symptom, the likelier edge kept where two
-    reach the same symptom."""
+    reach the same symptom. Each closure starts at the local probability, so
+    the order it settles states in and the probability it stores are the
+    same float, the fold ``recompute_edge_probability`` audits."""
     eid = cause.host_entity
-    rules = cb.rules_by_id
     block: dict[tuple[str, str], CausalEdge] = {}
     messages: set[str] = set()
     for s0, p0 in cb.cause(cause.cause_name).local_symptoms:
         reach, truncated = rule_closure(graph, cb, entity_types, [(s0, eid, ())],
-                                        max_depth, by_probability=True)
+                                        max_depth, by_probability=True, start_probability=p0)
         messages.update(f"depth limit {max_depth} reached expanding {s0}@{eid} "
                         f"at {sym}@{ent}" for sym, ent in truncated)
-        for (sym, ent), (_, hops) in reach.items():
-            prob = p0
-            for hop in hops:
-                prob *= rules[hop.rule_id].attenuation
+        for (sym, ent), (prob, hops) in reach.items():
             key = (cause.id, instance_id(sym, ent))
             existing = block.get(key)
             if existing is None or prob > existing.probability:

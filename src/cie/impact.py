@@ -3,7 +3,8 @@
 The blast radius starts from the entities hosting a cause's effects and
 extends them by calling the causality layer's rule closure
 (``causality.rule_closure``) in fewest-hop order; one shortest propagation
-path is recorded per reached entity. A proposed action is causally aligned
+path is recorded per reached entity, and also compacted into ``via``, the
+form the tool service sends. A proposed action is causally aligned
 only when it targets the cause's host or the host's layer/comp stack;
 fixing a caller never removes a callee's defect.
 """
@@ -37,6 +38,10 @@ class BlastRadius:
     impacted_teams: frozenset[str]
     direct_teams: frozenset[str]
     truncations: tuple[str, ...] = ()
+    # The paths, compacted for the wire: for each entity but the host,
+    # (from_entity, rule_id) when its path is from_entity's path plus one hop,
+    # else the whole chain (e0, r1, e1, ..., e_{k-1}, r_k).
+    via: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -92,6 +97,17 @@ def blast_radius(topology: EntityGraph, cg: CausalityGraph, cb: Codebook,
         kept.setdefault(ent, derivation)
     paths = {ent: derivation_to_impact_hops(derivation, cb)
              for ent, derivation in kept.items()}
+    via = {}
+    for ent, hops in paths.items():
+        if not hops:
+            continue
+        last = hops[-1]
+        # Child derivations share their parent's hop objects, so this tuple
+        # comparison mostly settles on identity.
+        if kept.get(last.from_entity) == kept[ent][:-1]:
+            via[ent] = (last.from_entity, last.rule_id)
+        else:
+            via[ent] = tuple(x for h in hops for x in (h.from_entity, h.rule_id))
     truncations = {f"depth limit {max_depth} reached at {sym}@{ent}" for sym, ent in truncated}
 
     transitive = frozenset(paths)
@@ -104,7 +120,7 @@ def blast_radius(topology: EntityGraph, cg: CausalityGraph, cb: Codebook,
     return BlastRadius(cause=cause_id, direct_entities=direct,
                        transitive_entities=transitive, paths=paths,
                        impacted_teams=impacted_teams, direct_teams=direct_teams,
-                       truncations=tuple(sorted(truncations)))
+                       truncations=tuple(sorted(truncations)), via=via)
 
 
 def ownership_check(br: BlastRadius, team: str) -> bool:

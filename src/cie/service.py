@@ -6,6 +6,16 @@ error. Six methods form the closed surface; a healthy environment returns
 an explicit no-active-root-cause answer rather than an empty search. Every
 response is computed from a single engine snapshot (one revision), whose
 number is included in the payload for staleness checks.
+
+Schema ``tool/2`` keeps payloads small, since their bytes are what a
+calling agent pays for. ``get_blast_radius`` sends ``via``, one entry per
+transitive entity but the cause's host: ``[from_entity, rule_id]`` when the
+entity's path is its predecessor's path plus one hop, else the whole chain
+``[e0, r1, e1, ..., e_{k-1}, r_k]``. An entry of length 2 is the
+predecessor form (one-hop paths start at the host, so both forms agree),
+and each hop's relation kind is its rule's. An entity name equal to the id
+is omitted: ``name`` in ``get_topology``, ``entity_name`` in symptom and
+cause summaries.
 """
 
 from __future__ import annotations
@@ -17,12 +27,17 @@ from json import JSONEncoder
 from .engine import Engine, EngineSnapshot
 from .errors import DocumentError, EngineError, UnknownIdError
 from .impact import ownership_check
+from .topology import Entity
 
-TOOL_SCHEMA = "tool/1"
+TOOL_SCHEMA = "tool/2"
 METHODS = ("get_environment_health", "get_symptoms", "get_root_causes",
            "get_blast_radius", "check_remediation", "get_topology")
 
 NO_ROOT_CAUSE = "no active root cause"
+
+# A request line longer than this many characters is answered with an
+# invalid_request error, unparsed.
+MAX_FRAME_CHARS = 1 << 20
 
 # Responses are standard JSON: a NaN or Infinity (which json.loads accepts,
 # say as a request id) makes the encoder raise instead of writing it. Only
@@ -113,20 +128,28 @@ def _team_param(params: dict) -> str | None:
     return team
 
 
+def _with_name(payload: dict, key: str, entity: Entity) -> dict:
+    """``payload`` with the entity's name under ``key``, unless the name
+    equals the entity id, which the payload already carries."""
+    if entity.name != entity.id:
+        payload[key] = entity.name
+    return payload
+
+
 def _symptom_summary(snapshot: EngineSnapshot, sid: str) -> dict:
     inst = snapshot.causality.symptoms[sid]
-    entity = snapshot.topology.entity(inst.host_entity)
-    return {"id": sid, "symptom_name": inst.symptom_name,
-            "entity": inst.host_entity, "entity_name": entity.name}
+    return _with_name({"id": sid, "symptom_name": inst.symptom_name,
+                       "entity": inst.host_entity},
+                      "entity_name", snapshot.topology.entity(inst.host_entity))
 
 
 def _cause_summary(snapshot: EngineSnapshot, entry) -> dict:
     inst = snapshot.causality.causes[entry.cause_id]
-    entity = snapshot.topology.entity(inst.host_entity)
-    return {"cause": entry.cause_id, "cause_name": inst.cause_name,
-            "entity": inst.host_entity, "entity_name": entity.name,
-            "score": entry.score,
-            "explained": list(entry.explained), "unexplained": list(entry.unexplained)}
+    return _with_name({"cause": entry.cause_id, "cause_name": inst.cause_name,
+                       "entity": inst.host_entity, "score": entry.score,
+                       "explained": list(entry.explained),
+                       "unexplained": list(entry.unexplained)},
+                      "entity_name", snapshot.topology.entity(inst.host_entity))
 
 
 def _cause_ref(snapshot: EngineSnapshot, cause_id: str) -> dict:
@@ -185,7 +208,7 @@ def _handle_blast_radius(snapshot: EngineSnapshot, params: dict) -> dict:
     if cause_id is None:
         cause_id = snapshot.best_cause()
         if cause_id is None:
-            payload = {"cause": None, "direct": [], "transitive": [], "paths": {},
+            payload = {"cause": None, "direct": [], "transitive": [], "via": {},
                        "teams": [], "multi_team": False,
                        "message": f"no impacted services; {NO_ROOT_CAUSE}"}
             if team is not None:
@@ -196,9 +219,7 @@ def _handle_blast_radius(snapshot: EngineSnapshot, params: dict) -> dict:
         "cause": _cause_ref(snapshot, cause_id),
         "direct": sorted(radius.direct_entities),
         "transitive": sorted(radius.transitive_entities),
-        "paths": {entity: [{"rule": h.rule_id, "from": h.from_entity,
-                            "to": h.to_entity, "kind": h.kind} for h in hops]
-                  for entity, hops in sorted(radius.paths.items())},
+        "via": {entity: list(entry) for entity, entry in sorted(radius.via.items())},
         "teams": sorted(radius.impacted_teams),
         "multi_team": len(radius.impacted_teams) > 1,
         "truncated": bool(radius.truncations),
@@ -242,8 +263,8 @@ def _handle_remediation(snapshot: EngineSnapshot, params: dict) -> dict:
 def _handle_topology(snapshot: EngineSnapshot, params: dict) -> dict:
     scope = _scope_param(snapshot, params)
     graph = snapshot.topology if scope is None else snapshot.topology.scope(set(scope))
-    entities = [{"id": e.id, "name": e.name, "type": e.entity_type,
-                 "team": e.owner_team, "metadata": dict(e.metadata)}
+    entities = [_with_name({"id": e.id, "type": e.entity_type, "team": e.owner_team,
+                            "metadata": dict(e.metadata)}, "name", e)
                 for e in sorted(graph.entities.values(), key=lambda e: e.id)]
     relations = [{"source": r.source, "target": r.target, "kind": r.kind}
                  for r in sorted(graph.relations,
@@ -272,10 +293,11 @@ def serve(engine: Engine, input_stream, output_stream) -> int:
 
     One response per request, in arrival order; malformed frames (including
     ones nested too deeply to decode) produce a parse_error response and the
-    loop continues. A response that cannot be written as standard JSON, such
-    as one echoing a NaN id, is replaced by an invalid_request error with a
-    null id. A closed output stream (BrokenPipeError) ends the loop. Returns
-    the number of responses written.
+    loop continues. A frame longer than ``MAX_FRAME_CHARS`` is not parsed:
+    it gets an invalid_request error with a null id. A response that cannot
+    be written as standard JSON, such as one echoing a NaN id, is replaced by
+    an invalid_request error with a null id. A closed output stream
+    (BrokenPipeError) ends the loop. Returns the number of responses written.
     """
     def emit(obj: dict):
         try:
@@ -293,6 +315,11 @@ def serve(engine: Engine, input_stream, output_stream) -> int:
         for line in input_stream:
             line = line.strip()
             if not line:
+                continue
+            if len(line) > MAX_FRAME_CHARS:
+                emit(_error(None, "invalid_request",
+                            f"frame longer than {MAX_FRAME_CHARS} characters").to_dict())
+                responses += 1
                 continue
             try:
                 raw = json.loads(line)

@@ -8,6 +8,7 @@ from cie.attributes import (AttributeDependency, AttributeGraph, AttributeNode,
                             DependencyFunction)
 from cie.causality import (DEFAULT_MAX_DEPTH, CausalEdge, CausalityGraph, RootCauseInstance,
                            SymptomInstance, instance_id, rule_closure)
+from cie.impact import ImpactHop
 from cie.inference import ActiveSymptomSet
 from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
                                 PropagationRule, RootCauseDef, SymptomDef)
@@ -153,8 +154,8 @@ def assert_same_causality(actual: CausalityGraph, expected: CausalityGraph):
 def eager_causality(graph: EntityGraph, cb: Codebook,
                     max_depth: int = DEFAULT_MAX_DEPTH) -> CausalityGraph:
     """Reference build: every cause's edge block compiled up front, in
-    cause order, one closure per (local symptom, entity) shared by the
-    causes on that entity; the graph is given all its edges."""
+    cause order, one closure per (local symptom, entity, local probability)
+    shared by the causes on that entity; the graph is given all its edges."""
     entities = graph.entities
     causes: dict[str, RootCauseInstance] = {}
     symptoms: dict[str, SymptomInstance] = {}
@@ -171,21 +172,19 @@ def eager_causality(graph: EntityGraph, cb: Codebook,
     entity_types = {eid: e.entity_type for eid, e in entities.items()}
     edges: dict[tuple[str, str], CausalEdge] = {}
     messages: set[str] = set()
-    closures: dict[tuple[str, str], dict] = {}
+    closures: dict[tuple[str, str, float], dict] = {}
     for cid, cause in causes.items():
         eid = cause.host_entity
         for s0, p0 in cb.cause(cause.cause_name).local_symptoms:
-            reach = closures.get((s0, eid))
+            reach = closures.get((s0, eid, p0))
             if reach is None:
                 reach, truncated = rule_closure(graph, cb, entity_types, [(s0, eid, ())],
-                                                max_depth, by_probability=True)
-                closures[(s0, eid)] = reach
+                                                max_depth, by_probability=True,
+                                                start_probability=p0)
+                closures[(s0, eid, p0)] = reach
                 messages.update(f"depth limit {max_depth} reached expanding {s0}@{eid} "
                                 f"at {sym}@{ent}" for sym, ent in truncated)
-            for (sym, ent), (_, hops) in reach.items():
-                prob = p0
-                for hop in hops:
-                    prob *= cb.rules_by_id[hop.rule_id].attenuation
+            for (sym, ent), (prob, hops) in reach.items():
                 key = (cid, instance_id(sym, ent))
                 existing = edges.get(key)
                 if existing is None or prob > existing.probability:
@@ -334,6 +333,41 @@ def blast_fixpoint(graph: EntityGraph, cb: Codebook, cg, cause_id: str) -> set[s
     hosts = {ent for _, ent in states}
     hosts.add(cg.cause(cause_id).host_entity)
     return hosts
+
+
+def expand_via(via: dict, transitive, cb: Codebook, host: str) -> dict[str, tuple]:
+    """Client-side decoder of a blast radius's wire ``via``: the full path
+    of every transitive entity, as ``BlastRadius.paths`` holds it. An entry
+    of length 2 is [from_entity, rule_id], the predecessor's path plus one
+    hop; a longer one is the chain [e0, r1, e1, ..., e_{k-1}, r_k]. Each
+    hop's relation kind is its rule's."""
+    assert set(transitive) == set(via) | {host} and host not in via
+    rules = cb.rules_by_id
+    paths: dict[str, tuple[ImpactHop, ...]] = {host: ()}
+    for start in via:
+        pending = [start]
+        while pending:
+            ent = pending[-1]
+            if ent in paths:
+                pending.pop()
+                continue
+            entry = via[ent]
+            if len(entry) == 2:
+                pred, rule_id = entry
+                if pred not in paths:
+                    assert pred not in pending, f"predecessor cycle through {pred}"
+                    pending.append(pred)
+                    continue
+                path = paths[pred] + (ImpactHop(rule_id, pred, ent,
+                                                rules[rule_id].over_relation),)
+            else:
+                assert len(entry) % 2 == 0 and len(entry) > 2, entry
+                chain = list(entry[0::2]) + [ent]
+                path = tuple(ImpactHop(rule_id, a, b, rules[rule_id].over_relation)
+                             for rule_id, a, b in zip(entry[1::2], chain, chain[1:]))
+            paths[ent] = path
+            pending.pop()
+    return paths
 
 
 # -- random attribute DAGs -----------------------------------------------------

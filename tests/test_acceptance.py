@@ -23,11 +23,11 @@ from cie.impact import blast_radius, ownership_check
 from cie.inference import attribute_sample, localize
 from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
                                 PropagationRule, RootCauseDef, SymptomDef)
-from cie.service import METHODS, handle, serve
+from cie.service import MAX_FRAME_CHARS, METHODS, handle, serve
 from cie.topology import Entity, EntityGraph, Relation
 
 from genmodels import (assert_same_causality, brute_force_ranking, eager_causality,
-                       random_active_set, random_attribute_dag, random_codebook,
+                       expand_via, random_active_set, random_attribute_dag, random_codebook,
                        random_inference_graph, random_mutation,
                        random_topological_order, random_topology,
                        recursive_evaluate)
@@ -185,7 +185,7 @@ def test_attribute_evaluation_criteria(capsys):
 def _fuzz_frames(rng: random.Random, count: int) -> list[str]:
     frames = []
     for i in range(count):
-        kind = rng.randrange(10)
+        kind = rng.randrange(10) if rng.random() >= 0.001 else 10
         if kind == 0:  # raw junk
             frames.append("".join(chr(rng.randrange(32, 127))
                                   for _ in range(rng.randrange(1, 40))).strip() or "x")
@@ -220,6 +220,9 @@ def _fuzz_frames(rng: random.Random, count: int) -> list[str]:
                 '{"id": [%s], "method": "%s"}' % (constant, rng.choice(METHODS)),
                 '{"id": %d, "method": "get_symptoms", "params": {"scope": [%s]}}'
                 % (i, constant)]))
+        elif kind == 10:  # a valid request padded past the frame size cap
+            frames.append(json.dumps({"id": i, "method": "get_symptoms",
+                                      "params": {"pad": "x" * MAX_FRAME_CHARS}}))
         else:  # valid request sprinkled in
             frames.append(json.dumps({"id": i, "method": rng.choice(list(METHODS)),
                                       "params": {}}))
@@ -231,8 +234,11 @@ def _reject_constant(name):
 
 
 def _expected_id(frame: str):
-    """The id a response must echo: null when the frame does not decode, is
-    not an object, or carries an id that is not standard JSON."""
+    """The id a response must echo: null when the frame is over the size
+    cap, does not decode, is not an object, or carries an id that is not
+    standard JSON."""
+    if len(frame) > MAX_FRAME_CHARS:
+        return None
     try:
         raw = json.loads(frame)
     except (ValueError, RecursionError):
@@ -261,6 +267,10 @@ def test_service_robustness_fuzz(capsys, shop_env_path, shop_codebook_path):
         assert response["status"] in ("ok", "error")
         if response["status"] == "error":
             assert set(response["error"]) == {"code", "message"}
+    oversized = [line for frame, line in zip(frames, lines[1:])
+                 if len(frame) > MAX_FRAME_CHARS]
+    assert oversized and all(json.loads(line)["error"]["code"] == "invalid_request"
+                             for line in oversized)
 
     # pipelining preserves order: ids echo back in arrival order for object frames
     echoed = [json.loads(line)["id"] for line in lines[1:]]
@@ -326,6 +336,17 @@ def test_scale_sanity_1000_entities(capsys, scale_engine):
     slowest = max(worst, key=worst.get)
     announce(capsys, "scale sanity: 6 methods on 1000 entities, slowest "
                      f"{slowest} at {worst[slowest] * 1000:.1f} ms (< 100 ms)")
+
+
+def test_via_expands_to_the_paths_on_1000_service_call_tree(capsys, scale_engine):
+    snapshot = scale_engine.snapshot()
+    for cid in sorted(snapshot.causality.causes):
+        response = handle({"id": "t", "method": "get_blast_radius", "params": {"cause": cid}},
+                          snapshot)
+        payload = json.loads(json.dumps(response.to_dict()))["payload"]
+        assert expand_via(payload["via"], payload["transitive"], scale_engine.codebook,
+                          payload["cause"]["entity"]) == snapshot.blast_radius(cid).paths
+    announce(capsys, "blast-radius via expands to the full paths for 1000 causes")
 
 
 def test_refresh_equals_instantiate_at_5000_entities(capsys):

@@ -5,7 +5,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cie import data
@@ -295,6 +295,9 @@ def test_refresh_rebuilds_hand_built_graphs_and_other_parameters(chain_codebook,
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
+# An edge here lost 1 ulp after a relation add while closures started at 1.0
+# and edges refolded their probability from the local one afterwards.
+@example(13676810)
 def test_adding_relation_is_monotone(seed):
     rng = random.Random(seed)
     cb = random_codebook(rng)

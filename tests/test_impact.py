@@ -14,7 +14,7 @@ from cie.knowledge_base import (Codebook, EntityTypeDef, PropagationRule, RootCa
                                 SymptomDef)
 from cie.topology import Entity, EntityGraph, Relation
 
-from genmodels import blast_fixpoint, random_codebook, random_topology
+from genmodels import blast_fixpoint, expand_via, random_codebook, random_topology
 
 UNBOUNDED = 64
 PAYMENT_DEFECT = "code_defect_transaction_rejection@payment"
@@ -253,6 +253,23 @@ def test_blast_paths_follow_existing_relations_from_host(seed, max_depth):
                     ends = ends[::-1]
                 assert Relation(*ends, hop.kind) in graph.relations
                 assert cg.entity_types[hop.to_entity] == cb.symptom(rule.to_symptom).applies_to
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=8))
+def test_via_expands_to_the_paths_on_random_models(seed, max_depth):
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    graph = random_topology(rng, cb)
+    cg = instantiate(graph, cb, max_depth=max_depth)
+    for cid in sorted(cg.causes):
+        br = blast_radius(graph, cg, cb, cid, max_depth=max_depth)
+        assert expand_via(br.via, br.transitive_entities, cb,
+                          cg.causes[cid].host_entity) == br.paths
+        for ent, entry in br.via.items():
+            # the chain form only where the predecessor form cannot say it
+            pred = br.paths[ent][-1].from_entity
+            assert (len(entry) == 2) == (br.paths.get(pred) == br.paths[ent][:-1])
 
 
 @settings(max_examples=40, deadline=None)

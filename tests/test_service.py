@@ -9,8 +9,11 @@ import pytest
 from cie import data
 from cie.engine import Engine
 from cie.harness import background_observations, inject_fault, load_scenario
-from cie.service import METHODS, handle, serve
-from cie.topology import Entity
+from cie.inference import attribute_sample
+from cie.service import MAX_FRAME_CHARS, METHODS, handle, serve
+from cie.topology import Entity, EntityGraph, Relation
+
+from genmodels import expand_via
 
 
 @pytest.fixture()
@@ -79,6 +82,42 @@ def test_blast_radius_defaults_to_best_cause(fault_engine):
     assert payload["cause"]["cause_name"] == "code_defect_transaction_rejection"
     assert set(payload["transitive"]) == {"payment", "checkout", "accounting", "shipping"}
     assert payload["multi_team"] is True
+
+
+def test_blast_radius_via_expands_to_the_paths_for_every_shop_cause(shop_engine):
+    snapshot = shop_engine.snapshot()
+    chains = []
+    for cid in sorted(snapshot.causality.causes):
+        response = handle({"id": 1, "method": "get_blast_radius", "params": {"cause": cid}},
+                          snapshot)
+        payload = json.loads(json.dumps(response.to_dict()))["payload"]
+        paths = snapshot.blast_radius(cid).paths
+        assert expand_via(payload["via"], payload["transitive"], shop_engine.codebook,
+                          payload["cause"]["entity"]) == paths
+        for ent, entry in payload["via"].items():
+            if paths[paths[ent][-1].from_entity] != paths[ent][:-1]:
+                chains.append((cid, ent))
+                assert len(entry) == 2 * len(paths[ent]) > 2
+    # the shop's paths are not a tree over entities: the chain form is needed
+    assert chains == [(f"{name}@payment", ent)
+                      for name in ("code_defect_transaction_rejection",
+                                   "payment_provider_outage")
+                      for ent in ("accounting", "shipping")]
+
+
+def test_names_equal_to_ids_are_omitted(chain_codebook, chain_topology):
+    graph = chain_topology.remove_entity("A").add_entity(
+        Entity(id="A", name="Alpha", entity_type="service"))
+    graph = graph.add_relation(Relation("A", "B", "conn"))
+    engine = Engine(graph, chain_codebook)
+    engine.ingest([attribute_sample("A", 1, "error_rate", 0.5),
+                   attribute_sample("B", 1, "error_rate", 0.5)])
+    topology = call(engine, "get_topology").payload
+    assert [e.get("name") for e in topology["entities"]] == ["Alpha", None, None]
+    health = call(engine, "get_environment_health").payload
+    summaries = health["active_symptoms"] + health["root_causes"]
+    assert {(s["entity"], s.get("entity_name")) for s in summaries} == {
+        ("A", "Alpha"), ("B", None), ("C", None)}
 
 
 def test_blast_radius_healthy_reports_no_impact(healthy_engine):
@@ -185,7 +224,7 @@ def test_serve_empty_input_writes_banner_only(healthy_engine):
     count, banner, responses = run_serve(healthy_engine, "")
     assert count == 0
     assert responses == []
-    assert banner["hello"]["schema"] == "tool/1"
+    assert banner["hello"]["schema"] == "tool/2"
     assert set(banner["hello"]["methods"]) == set(METHODS)
 
 
@@ -212,6 +251,22 @@ def test_serve_stops_quietly_on_closed_output(healthy_engine, lines):
     assert len(written) == lines
     assert count == max(lines - 1, 0)  # the banner is not a response
     assert [json.loads(line)["id"] for line in written[1:]] == list(range(count))
+
+
+def test_serve_rejects_oversized_frames_unparsed(healthy_engine):
+    def padded(length, request_id):
+        frame = json.dumps({"id": request_id, "method": "get_symptoms", "params": {"pad": ""}})
+        return frame.replace('""', '"' + "x" * (length - len(frame)) + '"')
+    at_cap, over_cap = padded(MAX_FRAME_CHARS, 1), padded(MAX_FRAME_CHARS + 1, 2)
+    assert (len(at_cap), len(over_cap)) == (MAX_FRAME_CHARS, MAX_FRAME_CHARS + 1)
+    # not JSON at all, so a parse would answer parse_error
+    junk = "{" * (MAX_FRAME_CHARS + 1)
+    count, _, responses = run_serve(
+        healthy_engine, "\n".join([at_cap, over_cap, junk, '{"id": 3, "method": "get_symptoms"}']))
+    assert count == 4
+    assert [r["id"] for r in responses] == [1, None, None, 3]
+    assert [r["status"] for r in responses] == ["ok", "error", "error", "ok"]
+    assert {r["error"]["code"] for r in responses[1:3]} == {"invalid_request"}
 
 
 def test_serve_pipelined_requests_preserve_order(fault_engine):
