@@ -2,7 +2,10 @@
 
 Maintains four linked structures (topology graph, codebook, causality
 graph, attribute dependency graph) and answers health, impact, root-cause,
-and remediation queries through a line-oriented tool service.
+and remediation queries through a line-oriented tool service
+(``cie.service``). Health and "no root cause" have one meaning, the
+service's: an environment with no active symptom is healthy, and active
+symptoms that no modelled cause explains are degraded with no root cause.
 """
 
 from .attributes import AttributeGraph, load_attribute_graph
@@ -10,8 +13,8 @@ from .causality import CausalityGraph, instantiate, refresh
 from .engine import Engine, EngineSnapshot
 from .errors import (CycleError, DocumentError, DuplicateIdError, EngineError,
                      UnknownIdError)
-from .inference import (ActiveSymptomSet, Diagnosis, HealthReport, Observation,
-                        activate_symptoms, assess_health, localize, score)
+from .inference import (ActiveSymptomSet, Diagnosis, Observation, activate_symptoms,
+                        localize, log_score)
 from .knowledge_base import Codebook, load_codebook, render_codebook
 from .topology import Entity, EntityGraph, Relation, load_environment
 
@@ -20,8 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ActiveSymptomSet", "AttributeGraph", "CausalityGraph", "Codebook",
     "CycleError", "Diagnosis", "DocumentError", "DuplicateIdError", "Engine",
-    "EngineError", "EngineSnapshot", "Entity", "EntityGraph", "HealthReport",
-    "Observation", "Relation", "UnknownIdError", "activate_symptoms",
-    "assess_health", "instantiate", "load_attribute_graph", "load_codebook",
-    "load_environment", "localize", "refresh", "render_codebook", "score",
+    "EngineError", "EngineSnapshot", "Entity", "EntityGraph", "Observation",
+    "Relation", "UnknownIdError", "activate_symptoms", "instantiate",
+    "load_attribute_graph", "load_codebook", "load_environment", "localize",
+    "log_score", "refresh", "render_codebook",
 ]

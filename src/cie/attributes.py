@@ -258,7 +258,7 @@ def load_attribute_graph(document, graph, cb) -> AttributeGraph:
         if not isinstance(raw, dict) or "entity" not in raw or "attribute" not in raw:
             raise DocumentError("attribute requires 'entity' and 'attribute'", location=loc)
         eid, name = raw["entity"], raw["attribute"]
-        if eid not in graph:
+        if not isinstance(eid, str) or eid not in graph:
             raise DocumentError(f"unknown entity {eid!r}", location=loc)
         decls = cb.type_def(graph.entity(eid).entity_type).attribute_decls
         if name not in decls:
@@ -273,6 +273,8 @@ def load_attribute_graph(document, graph, cb) -> AttributeGraph:
         loc = f"attribute_dependencies[{i}]"
         if not isinstance(raw, dict) or not {"from", "to", "function"} <= set(raw):
             raise DocumentError("dependency requires 'from', 'to', 'function'", location=loc)
+        if not (isinstance(raw["from"], str) and isinstance(raw["to"], str)):
+            raise DocumentError("'from' and 'to' must be attribute ids", location=loc)
         fn_raw = raw["function"]
         if not isinstance(fn_raw, dict) or "form" not in fn_raw:
             raise DocumentError("function requires 'form'", location=loc)

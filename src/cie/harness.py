@@ -316,12 +316,6 @@ def footprint_metrics(result: RubricResult, seed: int = 0) -> dict:
     }
 
 
-def measure_footprint(scenario: Scenario, engine: Engine | None = None,
-                      seed: int = 0) -> dict:
-    """Run the scenario once and return its footprint metrics."""
-    return footprint_metrics(run_scenario(scenario, engine=engine, seed=seed), seed)
-
-
 def trace_to_dict(trace: QueryTrace) -> dict:
     return {"query_id": trace.query_id, "method": trace.method,
             "tool_calls": trace.tool_calls, "payload_bytes": trace.payload_bytes,
@@ -335,24 +329,6 @@ def metrics_to_jsonl(metrics: dict) -> str:
     lines += [json.dumps({"record": "query", **q}, sort_keys=True)
               for q in metrics["queries"]]
     return "\n".join(lines) + "\n"
-
-
-def metrics_from_jsonl(text: str) -> dict:
-    header: dict = {}
-    queries: list[dict] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        kind = raw.pop("record", None)
-        if kind == "header":
-            header = raw
-        elif kind == "query":
-            queries.append(raw)
-        else:
-            raise DocumentError(f"unknown metrics record kind {kind!r}")
-    header["queries"] = queries
-    return header
 
 
 def rubric_report_dict(result: RubricResult) -> dict:

@@ -1,12 +1,14 @@
-"""Health assessment and abductive root-cause localization.
+"""Observations, symptom activation and abductive root-cause localization.
 
 Symptom activation turns observations (attribute samples and asserted
 symptom events) into the active symptom set. Localization ranks candidate
-causes by prior times the independence product of per-symptom conditionals,
-with a small leak probability standing in for active symptoms a candidate
-has no edge to, so one unexplained symptom dampens rather than zeroes a
-score. Accumulation happens in log space; reported scores are normalized
-across the candidate set.
+causes, the causes with an edge to at least one active symptom, by prior
+times the independence product of per-symptom conditionals. A small leak
+probability stands in for active symptoms a candidate has no edge to, so
+one unexplained symptom dampens rather than zeroes a score; the leak never
+makes a cause a candidate, so symptoms no cause explains yield an empty
+diagnosis. Accumulation happens in log space; reported scores are
+normalized across the candidate set.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 from .causality import CausalityGraph, instance_id
 from .errors import DocumentError, UnknownIdError
+from .knowledge_base import is_finite_number
 
 DEFAULT_LEAK = 1e-3
 
@@ -76,14 +79,6 @@ class Diagnosis:
         return self.ranked[0] if self.ranked else None
 
 
-@dataclass(frozen=True)
-class HealthReport:
-    scope: frozenset[str] | None
-    active_symptoms: ActiveSymptomSet
-    supported_causes: tuple[tuple[str, float], ...]
-    verdict: str  # "healthy" | "degraded"
-
-
 def validate_observation(cg: CausalityGraph, obs: Observation):
     etype = cg.entity_types.get(obs.target)
     if etype is None:
@@ -134,14 +129,9 @@ def activate_symptoms(cg: CausalityGraph, observations: list[Observation],
     return ActiveSymptomSet(symptoms=frozenset(active), as_of=as_of)
 
 
-def score(cg: CausalityGraph, cause_id: str, active: ActiveSymptomSet,
-          leak: float = DEFAULT_LEAK) -> float:
-    """Unnormalized posterior score P(active | cause) * P(cause)."""
-    return math.exp(log_score(cg, cause_id, active, leak=leak))
-
-
 def log_score(cg: CausalityGraph, cause_id: str, active: ActiveSymptomSet,
               leak: float = DEFAULT_LEAK) -> float:
+    """Unnormalized log posterior score log(P(active | cause) * P(cause))."""
     return _log_score(cg, cause_id, sorted(active.symptoms), math.log(leak))
 
 
@@ -157,22 +147,16 @@ def _log_score(cg: CausalityGraph, cause_id: str, ordered: list[str],
 
 
 def localize(cg: CausalityGraph, active: ActiveSymptomSet,
-             leak: float = DEFAULT_LEAK,
-             include_all_when_empty: bool = True) -> Diagnosis:
+             leak: float = DEFAULT_LEAK) -> Diagnosis:
     """Rank explanatory causes for the active symptom set.
 
     Candidates are the causes with at least one active effect; when none
-    qualifies (and the fallback is enabled) every instantiated cause is
-    scored. Ties break toward the higher prior, then the smaller cause id.
+    qualifies the diagnosis is empty. Ties break toward the higher prior,
+    then the smaller cause id.
     """
-    if not active.symptoms:
-        return Diagnosis(ranked=())
-
     candidates: set[str] = set()
     for sid in active.symptoms:
         candidates |= cg.causes_of(sid)
-    if not candidates and include_all_when_empty:
-        candidates = set(cg.causes)
     if not candidates:
         return Diagnosis(ranked=())
 
@@ -192,26 +176,6 @@ def localize(cg: CausalityGraph, active: ActiveSymptomSet,
                                   unexplained=unexplained)
                    for cid, ls, explained, unexplained in entries)
     return Diagnosis(ranked=ranked)
-
-
-def assess_health(cg: CausalityGraph, observations: list[Observation],
-                  scope: set[str] | None = None,
-                  leak: float = DEFAULT_LEAK) -> HealthReport:
-    """Structured answer to "what is happening right now?" for a scope.
-
-    Healthy is a first-class verdict: when no symptom is active the report
-    says so explicitly and carries no supported causes.
-    """
-    active = activate_symptoms(cg, observations, scope=scope)
-    if not active:
-        return HealthReport(scope=frozenset(scope) if scope is not None else None,
-                            active_symptoms=active, supported_causes=(),
-                            verdict="healthy")
-    diagnosis = localize(cg, active, leak=leak, include_all_when_empty=False)
-    supported = tuple((entry.cause_id, entry.score) for entry in diagnosis.ranked)
-    return HealthReport(scope=frozenset(scope) if scope is not None else None,
-                        active_symptoms=active, supported_causes=supported,
-                        verdict="degraded")
 
 
 def _logsumexp(values: list[float]) -> float:
@@ -242,10 +206,14 @@ def observation_from_dict(raw: dict, location: str | None = None) -> Observation
         raise DocumentError("observation requires 'entity' and 'tick'", location=location)
     if not isinstance(raw["tick"], int) or isinstance(raw["tick"], bool):
         raise DocumentError("'tick' must be an integer", location=location)
+    if not isinstance(raw["entity"], str):
+        raise DocumentError("'entity' must be a string", location=location)
+    for key in ("attribute", "symptom"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise DocumentError(f"{key!r} must be a string", location=location)
     value = raw.get("value")
-    if value is not None and (not isinstance(value, (int, float))
-                              or isinstance(value, bool)):
-        raise DocumentError("'value' must be a number", location=location)
+    if value is not None and not is_finite_number(value):
+        raise DocumentError("'value' must be a finite number", location=location)
     try:
         return Observation(target=raw["entity"], tick=raw["tick"],
                            attribute=raw.get("attribute"), value=value,

@@ -8,11 +8,11 @@ attenuation. It is validated eagerly at load and immutable afterwards.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 from .errors import DocumentError
-from .topology import RELATION_KINDS
+from .topology import RELATION_KINDS, _parse_document
 
 CODEBOOK_SCHEMA = "codebook/1"
 TRAVERSALS = ("forward", "reverse")
@@ -143,8 +143,8 @@ class Codebook:
                         f"on type {s.applies_to!r}", location=loc)
                 if act.comparator not in COMPARATORS:
                     raise DocumentError(f"unknown comparator {act.comparator!r}", location=loc)
-                if not isinstance(act.threshold, (int, float)):
-                    raise DocumentError("threshold must be a number", location=loc)
+                if not is_finite_number(act.threshold):
+                    raise DocumentError("threshold must be a finite number", location=loc)
             elif act.kind != "event":
                 raise DocumentError(f"unknown activation kind {act.kind!r}", location=loc)
 
@@ -214,12 +214,6 @@ class Codebook:
         self.type_def(type_name)
         return [s for s in self.symptoms if s.applies_to == type_name]
 
-    def rules_for(self, symptom_name: str, relation_kind: str) -> list[PropagationRule]:
-        """Rules that fire from ``symptom_name`` across ``relation_kind`` edges,
-        in rule-id order."""
-        self.symptom(symptom_name)
-        return [rule for kind, rule, *_ in self.steps[symptom_name] if kind == relation_kind]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):
             return NotImplemented
@@ -232,8 +226,21 @@ class Codebook:
                 f"symptoms={len(self.symptoms)}, rules={len(self.rules)})")
 
 
+def is_finite_number(value) -> bool:
+    """True for an int or a finite float; False for a bool, NaN or infinity."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
+def _check_strings(raw: dict, keys, location: str):
+    """Raise DocumentError unless each of ``keys`` present in ``raw`` is a string."""
+    for key in keys:
+        if key in raw and not isinstance(raw[key], str):
+            raise DocumentError(f"{key!r} must be a string", location=location)
+
+
 def _check_probability(value, what: str, location: str):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not is_finite_number(value):
         raise DocumentError(f"{what} must be a number", location=location)
     if not 0.0 < value <= 1.0:
         raise DocumentError(f"{what} = {value} outside (0, 1]", location=location)
@@ -241,8 +248,6 @@ def _check_probability(value, what: str, location: str):
 
 def load_codebook(document) -> Codebook:
     """Parse and validate a ``codebook/1`` document (JSON text or dict)."""
-    from .topology import _parse_document
-
     doc = _parse_document(document, "codebook")
     if doc.get("schema") != CODEBOOK_SCHEMA:
         raise DocumentError(f"expected schema {CODEBOOK_SCHEMA!r}, got {doc.get('schema')!r}",
@@ -256,14 +261,19 @@ def load_codebook(document) -> Codebook:
         loc = f"types[{i}]"
         if not isinstance(raw, dict) or "name" not in raw:
             raise DocumentError("type requires 'name'", location=loc)
+        _check_strings(raw, ("name",), loc)
+        attributes = raw.get("attributes", [])
+        if not (isinstance(attributes, list) and all(isinstance(a, str) for a in attributes)):
+            raise DocumentError("'attributes' must be a list of strings", location=loc)
         types.append(EntityTypeDef(type_name=raw["name"],
-                                   attribute_decls=tuple(raw.get("attributes", []))))
+                                   attribute_decls=tuple(attributes)))
 
     symptoms = []
     for i, raw in enumerate(doc.get("symptoms", [])):
         loc = f"symptoms[{i}]"
         if not isinstance(raw, dict) or "name" not in raw or "applies_to" not in raw:
             raise DocumentError("symptom requires 'name' and 'applies_to'", location=loc)
+        _check_strings(raw, ("name", "applies_to"), loc)
         act_raw = raw.get("activation", {"kind": "event"})
         if not isinstance(act_raw, dict) or "kind" not in act_raw:
             raise DocumentError("activation requires 'kind'", location=loc)
@@ -282,6 +292,7 @@ def load_codebook(document) -> Codebook:
         loc = f"root_causes[{i}]"
         if not isinstance(raw, dict) or "name" not in raw or "applies_to" not in raw:
             raise DocumentError("root cause requires 'name' and 'applies_to'", location=loc)
+        _check_strings(raw, ("name", "applies_to"), loc)
         if not isinstance(raw.get("local_symptoms", []), list):
             raise DocumentError("'local_symptoms' must be an array", location=loc)
         local = []
@@ -289,6 +300,7 @@ def load_codebook(document) -> Codebook:
             if not isinstance(assoc, dict) or "symptom" not in assoc or "probability" not in assoc:
                 raise DocumentError("local symptom requires 'symptom' and 'probability'",
                                     location=f"{loc}.local_symptoms[{j}]")
+            _check_strings(assoc, ("symptom",), f"{loc}.local_symptoms[{j}]")
             local.append((assoc["symptom"], assoc["probability"]))
         causes.append(RootCauseDef(cause_name=raw["name"], applies_to=raw["applies_to"],
                                    local_symptoms=tuple(local),
@@ -300,6 +312,7 @@ def load_codebook(document) -> Codebook:
         required = {"id", "from_symptom", "relation", "traversal", "to_symptom", "attenuation"}
         if not isinstance(raw, dict) or not required <= set(raw):
             raise DocumentError(f"rule requires {sorted(required)}", location=loc)
+        _check_strings(raw, ("id", "from_symptom", "relation", "traversal", "to_symptom"), loc)
         rules.append(PropagationRule(rule_id=raw["id"], from_symptom=raw["from_symptom"],
                                      over_relation=raw["relation"], traversal=raw["traversal"],
                                      to_symptom=raw["to_symptom"],
@@ -335,6 +348,3 @@ def render_codebook(cb: Codebook) -> dict:
                               for r in cb.rules],
     }
 
-
-def render_codebook_json(cb: Codebook) -> str:
-    return json.dumps(render_codebook(cb), indent=2)

@@ -2,8 +2,9 @@
 
 Wire format: one JSON object per line. Requests carry ``id``, ``method``,
 ``params``; responses echo the id and carry either a payload or a coded
-error. Six methods form the closed surface; a healthy environment returns
-an explicit no-active-root-cause answer rather than an empty search. Every
+error. Six methods form the closed surface; a healthy environment, or one
+whose active symptoms no modelled cause explains, returns an explicit
+no-active-root-cause answer rather than an empty search. Every
 response is computed from a single engine snapshot (one revision), whose
 number is included in the payload for staleness checks.
 
@@ -21,7 +22,7 @@ cause summaries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json import JSONEncoder
 
 from .engine import Engine, EngineSnapshot
@@ -47,13 +48,6 @@ _ENCODER = JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
-class ToolRequest:
-    request_id: object
-    method: str
-    params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class ToolResponse:
     request_id: object
     status: str  # "ok" | "error"
@@ -73,10 +67,8 @@ class _ParamError(Exception):
         super().__init__(message)
 
 
-def handle(raw: dict | ToolRequest, snapshot: EngineSnapshot) -> ToolResponse:
+def handle(raw: dict, snapshot: EngineSnapshot) -> ToolResponse:
     """Dispatch one request against one snapshot; never raises."""
-    if isinstance(raw, ToolRequest):
-        raw = {"id": raw.request_id, "method": raw.method, "params": raw.params}
     request_id = raw.get("id") if isinstance(raw, dict) else None
     try:
         if not isinstance(raw, dict) or not isinstance(raw.get("method"), str):
@@ -160,15 +152,15 @@ def _cause_ref(snapshot: EngineSnapshot, cause_id: str) -> dict:
 def _handle_health(snapshot: EngineSnapshot, params: dict) -> dict:
     scope = _scope_param(snapshot, params)
     active = snapshot.active(scope)
-    diagnosis = snapshot.diagnosis(scope)
+    root_causes = [_cause_summary(snapshot, e) for e in snapshot.diagnosis(scope).ranked]
     payload = {
         "verdict": "healthy" if not active else "degraded",
         "scope": sorted(scope) if scope is not None else None,
         "active_symptoms": [_symptom_summary(snapshot, s)
                             for s in sorted(active.symptoms)],
-        "root_causes": [_cause_summary(snapshot, e) for e in diagnosis.ranked],
+        "root_causes": root_causes,
     }
-    if not active:
+    if not root_causes:
         payload["message"] = NO_ROOT_CAUSE
     return payload
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .errors import DocumentError, DuplicateIdError, UnknownIdError
 
 RELATION_KINDS = ("conn", "layer", "comp")
-DIRECTIONS = ("out", "in", "both")
 
 ENV_SCHEMA = "env/1"
 
@@ -122,22 +121,6 @@ class EntityGraph:
     def entity_ids(self) -> set[str]:
         return set(self._entities)
 
-    def neighbors(self, entity_id: str, kind: str = "all",
-                  direction: str = "both") -> set[str]:
-        """Entity ids one matching relation edge away."""
-        if entity_id not in self._entities:
-            raise UnknownIdError(f"unknown entity {entity_id!r}")
-        if kind != "all" and kind not in RELATION_KINDS:
-            raise DocumentError(f"unknown relation kind {kind!r}")
-        if direction not in DIRECTIONS:
-            raise DocumentError(f"unknown direction {direction!r}")
-        kinds = RELATION_KINDS if kind == "all" else (kind,)
-        found: set[str] = set()
-        for d in (("out", "in") if direction == "both" else (direction,)):
-            for k in kinds:
-                found.update(self._adjacency[d].get((entity_id, k), ()))
-        return found
-
     def adjacent(self, entity_id: str, kind: str, direction: str) -> tuple[str, ...]:
         """Sorted ids one ``kind`` edge away in ``direction`` ("out" or "in").
         Unchecked fast path for traversals over known ids."""
@@ -159,9 +142,6 @@ class EntityGraph:
 
     def teams(self) -> set[str]:
         return {e.owner_team for e in self._entities.values() if e.owner_team}
-
-    def entities_owned_by(self, team: str) -> set[str]:
-        return {eid for eid, e in self._entities.items() if e.owner_team == team}
 
     # -- mutation surface ---------------------------------------------------
 
@@ -229,33 +209,37 @@ def load_environment(document, codebook=None) -> EntityGraph:
         if not isinstance(doc.get(key, []), list):
             raise DocumentError(f"{key!r} must be an array", location=key)
 
+    type_names = codebook.type_names() if codebook is not None else None
     entities: dict[str, Entity] = {}
     for i, raw in enumerate(doc.get("entities", [])):
         loc = f"entities[{i}]"
         if not isinstance(raw, dict) or "id" not in raw or "type" not in raw:
             raise DocumentError("entity requires 'id' and 'type'", location=loc)
-        eid = raw["id"]
+        eid, etype, team = raw["id"], raw["type"], raw.get("team")
+        name = raw.get("name", eid)
+        if not (isinstance(eid, str) and isinstance(etype, str) and isinstance(name, str)
+                and (team is None or isinstance(team, str))):
+            raise DocumentError("'id', 'type', 'name' and 'team' must be strings "
+                                "('team' may be null)", location=loc)
         if eid in entities:
             raise DocumentError(f"duplicate entity id {eid!r}", location=loc)
-        if codebook is not None and raw["type"] not in codebook.type_names():
-            raise DocumentError(f"unknown entity_type {raw['type']!r} for {eid!r}",
-                                location=loc)
+        if type_names is not None and etype not in type_names:
+            raise DocumentError(f"unknown entity_type {etype!r} for {eid!r}", location=loc)
         metadata = raw.get("metadata", {})
         if not (isinstance(metadata, dict)
                 and all(isinstance(k, str) and isinstance(v, str)
                         for k, v in metadata.items())):
             raise DocumentError("metadata must map strings to strings", location=loc)
-        entities[eid] = Entity(id=eid, name=raw.get("name", eid),
-                               entity_type=raw["type"],
-                               owner_team=raw.get("team"), metadata=metadata)
+        entities[eid] = Entity(id=eid, name=name, entity_type=etype, owner_team=team,
+                               metadata=metadata)
 
     relations: set[Relation] = set()
     for i, raw in enumerate(doc.get("relations", [])):
         loc = f"relations[{i}]"
-        if not isinstance(raw, dict) or not {"source", "target", "kind"} <= set(raw):
+        if not isinstance(raw, dict) or not {"source", "target", "kind"} <= raw.keys():
             raise DocumentError("relation requires 'source', 'target', 'kind'", location=loc)
         for endpoint in (raw["source"], raw["target"]):
-            if endpoint not in entities:
+            if not isinstance(endpoint, str) or endpoint not in entities:
                 raise DocumentError(
                     f"relation endpoint {endpoint!r} is not a declared entity", location=loc)
         try:

@@ -240,16 +240,10 @@ def random_active_set(rng: random.Random, cg: CausalityGraph,
 
 def brute_force_ranking(cg: CausalityGraph, active: ActiveSymptomSet,
                         leak: float) -> list[tuple[str, float]]:
-    """Independent oracle: direct float products over every candidate cause."""
-    if not active.symptoms:
-        return []
-    candidates = set()
-    for sid in active.symptoms:
-        for (cid, esid) in cg.edges:
-            if esid == sid:
-                candidates.add(cid)
-    if not candidates:
-        candidates = set(cg.causes)
+    """Independent oracle: direct float products over every cause with an
+    edge to an active symptom. The leak scores a candidate's missing edges;
+    it makes no cause a candidate, so symptoms no cause explains rank none."""
+    candidates = {cid for (cid, sid) in cg.edges if sid in active.symptoms}
     scored = []
     for cid in candidates:
         product = cg.causes[cid].prior
@@ -262,6 +256,24 @@ def brute_force_ranking(cg: CausalityGraph, active: ActiveSymptomSet,
 
 
 # -- oracles over topology/codebook instantiation -----------------------------
+
+def one_hop(graph: EntityGraph, cb: Codebook, sym: str, ent: str):
+    """(rule, neighbour) pairs one rule hop from ``sym`` on ``ent``, found by
+    scanning ``cb.rules`` and ``graph.relations``, not the step and adjacency
+    tables the rule closure walks. A forward rule follows a relation from
+    its source to its target; a reverse rule walks it back."""
+    for rule in cb.rules:
+        if rule.from_symptom != sym:
+            continue
+        for rel in graph.relations:
+            if rel.kind != rule.over_relation:
+                continue
+            ends = (rel.source, rel.target)
+            if rule.traversal == "reverse":
+                ends = ends[::-1]
+            if ends[0] == ent:
+                yield rule, ends[1]
+
 
 def enumerate_best_paths(graph: EntityGraph, cb: Codebook, start_symptom: str,
                          start_entity: str) -> dict[tuple[str, str], float]:
@@ -277,17 +289,11 @@ def enumerate_best_paths(graph: EntityGraph, cb: Codebook, start_symptom: str,
         state = (sym, ent)
         if prob > best.get(state, 0.0):
             best[state] = prob
-        for kind in RELATION_KINDS:
-            for rule in cb.rules_for(sym, kind):
-                direction = "out" if rule.traversal == "forward" else "in"
-                target_type = cb.symptom(rule.to_symptom).applies_to
-                for nbr in graph.neighbors(ent, kind, direction):
-                    if entity_types[nbr] != target_type:
-                        continue
-                    nxt = (rule.to_symptom, nbr)
-                    if nxt in seen:
-                        continue
-                    visit(rule.to_symptom, nbr, prob * rule.attenuation, seen | {nxt})
+        for rule, nbr in one_hop(graph, cb, sym, ent):
+            nxt = (rule.to_symptom, nbr)
+            if (entity_types[nbr] == cb.symptom(rule.to_symptom).applies_to
+                    and nxt not in seen):
+                visit(rule.to_symptom, nbr, prob * rule.attenuation, seen | {nxt})
 
     visit(start_symptom, start_entity, 1.0, frozenset({(start_symptom, start_entity)}))
     return best
@@ -319,17 +325,12 @@ def blast_fixpoint(graph: EntityGraph, cb: Codebook, cg, cause_id: str) -> set[s
     while changed:
         changed = False
         for sym, ent in list(states):
-            for kind in RELATION_KINDS:
-                for rule in cb.rules_for(sym, kind):
-                    direction = "out" if rule.traversal == "forward" else "in"
-                    target_type = cb.symptom(rule.to_symptom).applies_to
-                    for nbr in graph.neighbors(ent, kind, direction):
-                        if entity_types.get(nbr) != target_type:
-                            continue
-                        state = (rule.to_symptom, nbr)
-                        if state not in states:
-                            states.add(state)
-                            changed = True
+            for rule, nbr in one_hop(graph, cb, sym, ent):
+                state = (rule.to_symptom, nbr)
+                if (entity_types.get(nbr) == cb.symptom(rule.to_symptom).applies_to
+                        and state not in states):
+                    states.add(state)
+                    changed = True
     hosts = {ent for _, ent in states}
     hosts.add(cg.cause(cause_id).host_entity)
     return hosts

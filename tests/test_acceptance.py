@@ -18,7 +18,7 @@ import pytest
 from cie import data
 from cie.causality import instantiate, recompute_edge_probability, refresh
 from cie.engine import Engine
-from cie.harness import load_scenario, measure_footprint, run_scenario
+from cie.harness import footprint_metrics, load_scenario, run_scenario
 from cie.impact import blast_radius, ownership_check
 from cie.inference import attribute_sample, localize
 from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
@@ -144,7 +144,8 @@ def test_impact_invariants_on_random_corpus(capsys):
             assert br.direct_entities <= br.transitive_entities
             assert cg.causes[cid].host_entity in br.transitive_entities
             for team in ("a", "b", "zz"):
-                expected = bool(br.direct_entities & graph.entities_owned_by(team))
+                owned = {eid for eid, e in graph.entities.items() if e.owner_team == team}
+                expected = bool(br.direct_entities & owned)
                 assert ownership_check(br, team) == expected
 
         # topology monotonicity for one cause per model
@@ -278,7 +279,7 @@ def test_service_robustness_fuzz(capsys, shop_env_path, shop_codebook_path):
 
     # each rubric query costs exactly one tool call
     for name in ("active-fault", "healthy"):
-        metrics = measure_footprint(load_scenario(data.scenario_path(name)))
+        metrics = footprint_metrics(run_scenario(load_scenario(data.scenario_path(name))))
         assert all(q["tool_calls"] == 1 for q in metrics["queries"])
     announce(capsys, f"service robustness: {total} fuzzed frames, zero crashes, "
                      "1 call per rubric query")

@@ -179,6 +179,21 @@ def shop_attribute_graph(shop_env_path, shop_codebook_path):
     return load_attribute_graph(doc, graph, cb)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("attributes", [{"entity": ["payment"], "attribute": "error_rate"}], "unknown entity"),
+    ("attribute_dependencies",
+     [{"from": ["payment:error_rate"], "to": "checkout:error_rate",
+       "function": {"form": "sum"}}], "must be attribute ids"),
+])
+def test_malformed_attribute_fields_are_document_errors(shop_env_path, shop_codebook_path,
+                                                        key, value, message):
+    doc = json.loads(shop_env_path.read_text())
+    cb = load_codebook(shop_codebook_path.read_text())
+    graph = load_environment(doc, codebook=cb)
+    with pytest.raises(DocumentError, match=message):
+        load_attribute_graph({**doc, key: value}, graph, cb)
+
+
 def test_shop_attribute_graph_healthy_values(shop_env_path, shop_codebook_path):
     ag = shop_attribute_graph(shop_env_path, shop_codebook_path)
     values = ag.evaluate()

@@ -167,3 +167,32 @@ def test_invalid_engine_parameters_rejected_at_start(runner, shop_env_path,
     assert result.exit_code != 0
     assert option.lstrip("-").replace("-", "_") in result.output
     assert "internal_error" not in result.output
+
+
+@pytest.mark.parametrize("entity", [{"id": ["a"], "type": "web-service"},
+                                    {"id": "a", "type": ["web-service"]}])
+def test_serve_rejects_malformed_environment_cleanly(runner, shop_codebook_path, tmp_path,
+                                                     entity):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"schema": "env/1", "entities": [entity], "relations": []}))
+    result = runner.invoke(main, ["serve", "--env", str(env),
+                                  "--codebook", str(shop_codebook_path)], input="")
+    assert result.exit_code == 1
+    assert "must be strings" in result.output
+    assert not isinstance(result.exception, TypeError)
+
+
+@pytest.mark.parametrize("line", ['{"tick": 1, "entity": "payment", '
+                                  '"attribute": "transaction_reject_rate", "value": NaN}',
+                                  '{"tick": 1, "entity": ["payment"], "symptom": "s"}'])
+def test_query_rejects_malformed_observations_cleanly(runner, shop_env_path,
+                                                      shop_codebook_path, tmp_path, line):
+    stream = tmp_path / "obs.jsonl"
+    stream.write_text(line + "\n")
+    result = runner.invoke(main, ["query", "--env", str(shop_env_path),
+                                  "--codebook", str(shop_codebook_path),
+                                  "--observations", str(stream),
+                                  "--method", "get_symptoms"])
+    assert result.exit_code == 1
+    assert "line 1" in result.output
+    assert not isinstance(result.exception, TypeError)

@@ -251,3 +251,11 @@ def test_folded_state_matches_replay_of_raw_stream(seed, ops):
         if op == "snapshot" or rng.random() < 0.5:
             _assert_matches_replay(engine, stream, rng)
     _assert_matches_replay(engine, stream, rng)
+
+
+def test_every_public_name_resolves():
+    import cie
+
+    assert len(set(cie.__all__)) == len(cie.__all__)
+    for name in cie.__all__:
+        assert getattr(cie, name) is not None, name

@@ -7,10 +7,9 @@ import pytest
 from cie import data
 from cie.engine import Engine
 from cie.errors import DocumentError
-from cie.harness import (background_observations, build_engine, format_rubric_table,
-                         inject_fault, load_scenario, measure_footprint,
-                         metrics_from_jsonl, metrics_to_jsonl, rubric_report_dict,
-                         run_scenario)
+from cie.harness import (background_observations, build_engine, footprint_metrics,
+                         format_rubric_table, inject_fault, load_scenario,
+                         metrics_to_jsonl, rubric_report_dict, run_scenario)
 from cie.inference import render_observations
 from cie.knowledge_base import load_codebook, render_codebook
 
@@ -150,20 +149,24 @@ def test_ablation_deleted_defect_fails_root_cause(fault_scenario):
 
 def test_each_rubric_query_costs_exactly_one_tool_call(fault_scenario, healthy_scenario):
     for scenario in (fault_scenario, healthy_scenario):
-        metrics = measure_footprint(scenario)
+        metrics = footprint_metrics(run_scenario(scenario))
         assert all(q["tool_calls"] == 1 for q in metrics["queries"])
         assert metrics["totals"]["tool_calls"] == len(scenario.queries)
 
 
 def test_healthy_total_calls_not_above_fault_total(fault_scenario, healthy_scenario):
-    fault = measure_footprint(fault_scenario)
-    healthy = measure_footprint(healthy_scenario)
+    fault = footprint_metrics(run_scenario(fault_scenario))
+    healthy = footprint_metrics(run_scenario(healthy_scenario))
     assert healthy["totals"]["tool_calls"] <= fault["totals"]["tool_calls"]
 
 
 def test_metrics_round_trip_through_jsonl(fault_scenario):
-    metrics = measure_footprint(fault_scenario)
-    assert metrics_from_jsonl(metrics_to_jsonl(metrics)) == metrics
+    metrics = footprint_metrics(run_scenario(fault_scenario))
+    header, *queries = [json.loads(line)
+                        for line in metrics_to_jsonl(metrics).splitlines()]
+    assert header.pop("record") == "header"
+    assert all(q.pop("record") == "query" for q in queries)
+    assert {**header, "queries": queries} == metrics
     assert metrics["token_proxy"] == "response payload bytes"
 
 

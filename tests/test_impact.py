@@ -318,5 +318,6 @@ def test_ownership_check_is_set_intersection(seed):
     for cid in sorted(cg.causes):
         br = blast_radius(rebuilt, cg, cb, cid)
         for team in ("alpha", "beta", "gamma"):
-            expected = bool(br.direct_entities & rebuilt.entities_owned_by(team))
+            owned = {eid for eid, e in rebuilt.entities.items() if e.owner_team == team}
+            expected = bool(br.direct_entities & owned)
             assert ownership_check(br, team) == expected

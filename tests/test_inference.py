@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cie.causality
 from cie.causality import (CausalEdge, CausalityGraph, RootCauseInstance,
                            SymptomInstance, instantiate)
-from cie.engine import EngineSnapshot
+from cie.engine import Engine, EngineSnapshot
 from cie.errors import DocumentError, UnknownIdError
-from cie.inference import (ActiveSymptomSet, activate_symptoms, assess_health,
-                           attribute_sample, localize, log_score, parse_observations,
-                           render_observations, score, symptom_event)
+from cie.inference import (ActiveSymptomSet, activate_symptoms, attribute_sample,
+                           localize, log_score, observation_from_dict,
+                           parse_observations, render_observations, symptom_event)
 from cie.knowledge_base import ActivationSpec
 from cie.service import handle
 
@@ -97,20 +99,21 @@ def test_observation_shape_validation():
 
 def test_score_of_empty_active_set_is_prior():
     cg = tiny_graph({"r1": {"s1": 0.9}}, {"r1": 0.25})
-    assert score(cg, "r1@h", ActiveSymptomSet(frozenset())) == pytest.approx(0.25, rel=1e-12)
+    assert math.exp(log_score(cg, "r1@h", ActiveSymptomSet(frozenset()))) == pytest.approx(
+        0.25, rel=1e-12)
 
 
 def test_score_single_explained_symptom():
     cg = tiny_graph({"r1": {"s1": 0.9}}, {"r1": 0.5})
     active = ActiveSymptomSet(frozenset({"s1@h"}))
-    assert score(cg, "r1@h", active) == pytest.approx(0.45, rel=1e-12)
+    assert math.exp(log_score(cg, "r1@h", active)) == pytest.approx(0.45, rel=1e-12)
 
 
 def test_score_two_unexplained_symptoms_log_space_cross_check():
     cg = tiny_graph({"r1": {"s1": 0.9, "s2": 0.9}, "r0": {"s3": 0.5}},
                     {"r1": 0.5, "r0": 0.01})
     active = ActiveSymptomSet(frozenset({"s1@h", "s2@h"}))
-    got = score(cg, "r0@h", active, leak=1e-3)
+    got = math.exp(log_score(cg, "r0@h", active, leak=1e-3))
     direct = 0.01 * 1e-3 * 1e-3
     assert got == pytest.approx(direct, rel=1e-9)
     assert got == pytest.approx(1e-8, rel=1e-9)
@@ -121,7 +124,7 @@ def test_score_two_unexplained_symptoms_log_space_cross_check():
 def test_score_unknown_cause():
     cg = tiny_graph({"r1": {"s1": 0.9}}, {"r1": 0.5})
     with pytest.raises(UnknownIdError):
-        score(cg, "nope@h", ActiveSymptomSet(frozenset()))
+        log_score(cg, "nope@h", ActiveSymptomSet(frozenset()))
 
 
 # -- localize -----------------------------------------------------------------
@@ -176,27 +179,28 @@ def test_localize_tie_break_prior_then_id():
     assert [e.cause_id for e in diagnosis.ranked] == ["rc@h", "ra@h", "rb@h"]
 
 
-def test_localize_fallback_to_all_causes():
+def test_localize_unexplained_symptoms_yield_no_candidates():
     cg = tiny_graph({"r1": {"s1": 0.9}, "r2": {"s2": 0.8}}, {"r1": 0.3, "r2": 0.1})
-    # nothing explains s3: no cause has an edge to it
+    # nothing explains s3: no cause has an edge to it, and the leak that
+    # softens a candidate's missing edge makes no cause a candidate
     cg.symptoms["s3@h"] = SymptomInstance(id="s3@h", symptom_name="s3", host_entity="h",
                                           activation=ActivationSpec(kind="event"))
-    active = ActiveSymptomSet(frozenset({"s3@h"}))
-    assert [e.cause_id for e in localize(cg, active).ranked] == ["r1@h", "r2@h"]
-    assert localize(cg, active, include_all_when_empty=False).ranked == ()
+    assert localize(cg, ActiveSymptomSet(frozenset({"s3@h"}))).ranked == ()
+    both = localize(cg, ActiveSymptomSet(frozenset({"s1@h", "s3@h"})))
+    assert [(e.cause_id, e.unexplained) for e in both.ranked] == [("r1@h", ("s3@h",))]
 
 
-def test_orphan_symptom_fallback_equal_on_demand_and_eager(shop_engine):
-    # No cause explains a crash loop on a -pod-0, so localize scores every
-    # cause: the one serving path that compiles every block of a revision.
+def test_orphan_symptom_answer_equal_on_demand_and_eager(shop_engine, monkeypatch):
+    # No cause explains a crash loop on a -pod-0: both methods say degraded
+    # with no root cause, and answering compiles no cause block.
     graph, cb = shop_engine.topology, shop_engine.codebook
-    on_demand, eager = instantiate(graph, cb), eager_causality(graph, cb)
+    eager = eager_causality(graph, cb)
     sid = "pod_crash_loop@frontend-pod-0"
     assert not eager.causes_of(sid)
-    active = ActiveSymptomSet(frozenset({sid}), as_of=1)
-    diagnosis = localize(on_demand, active, leak=LEAK)
-    assert len(diagnosis.ranked) == len(eager.causes)
-    assert diagnosis == localize(eager, active, leak=LEAK)
+    compiled = []
+    compile_block = cie.causality._compile
+    monkeypatch.setattr(cie.causality, "_compile",
+                        lambda *args: compiled.append(args[-1].id) or compile_block(*args))
     for method in ("get_root_causes", "get_environment_health"):
         answers = [handle({"id": 1, "method": method},
                           EngineSnapshot(graph, cb, cg, {sid}, None, LEAK,
@@ -204,31 +208,58 @@ def test_orphan_symptom_fallback_equal_on_demand_and_eager(shop_engine):
                    for cg in (instantiate(graph, cb), eager)]
         assert answers[0] == answers[1]
         assert answers[0]["status"] == "ok"
+        payload = answers[0]["payload"]
+        if method == "get_root_causes":
+            assert payload["verdict"] == "no_active_root_cause"
+            assert (payload["best"], payload["ranked"]) == (None, [])
+        else:
+            assert payload["verdict"] == "degraded"
+            assert [s["id"] for s in payload["active_symptoms"]] == [sid]
+            assert payload["root_causes"] == []
+        assert payload["message"] == "no active root cause"
+    assert compiled == []
+    # the counter sees compiles: reading one block compiles exactly it
+    instantiate(graph, cb).edges_from("code_defect_transaction_rejection@payment")
+    assert compiled == ["code_defect_transaction_rejection@payment"]
 
-# -- assess_health --------------------------------------------------------------
+# -- health semantics -------------------------------------------------------------
 
-def test_healthy_report_is_explicit(shop_engine):
-    cg = shop_engine.snapshot().causality
-    report = assess_health(cg, [attribute_sample("frontend", 1, "error_rate", 0.001)])
-    assert report.verdict == "healthy"
-    assert report.supported_causes == ()
-    assert not report.active_symptoms
+def _health(engine, observations, params=None) -> dict:
+    engine.ingest(observations)
+    response = handle({"id": 1, "method": "get_environment_health", "params": params},
+                      engine.snapshot())
+    assert response.status == "ok"
+    return response.payload
 
 
-def test_degraded_report_lists_supported_causes(shop_engine):
-    cg = shop_engine.snapshot().causality
+@pytest.fixture()
+def fresh_shop_engine(shop_env_path, shop_codebook_path):
+    return Engine.from_files(shop_env_path, shop_codebook_path)
+
+
+def test_healthy_report_is_explicit(fresh_shop_engine):
+    payload = _health(fresh_shop_engine,
+                      [attribute_sample("frontend", 1, "error_rate", 0.001)])
+    assert payload["verdict"] == "healthy"
+    assert payload["root_causes"] == []
+    assert payload["active_symptoms"] == []
+    assert payload["message"] == "no active root cause"
+
+
+def test_degraded_report_lists_supported_causes(fresh_shop_engine):
     obs = [attribute_sample("payment", 1, "transaction_reject_rate", 0.99)]
-    report = assess_health(cg, obs)
-    assert report.verdict == "degraded"
-    supported = [cid for cid, _ in report.supported_causes]
+    payload = _health(fresh_shop_engine, obs)
+    assert payload["verdict"] == "degraded"
+    supported = [c["cause"] for c in payload["root_causes"]]
     assert "code_defect_transaction_rejection@payment" in supported
+    assert "message" not in payload
 
 
-def test_scope_restriction_turns_report_healthy(shop_engine):
-    cg = shop_engine.snapshot().causality
+def test_scope_restriction_turns_report_healthy(fresh_shop_engine):
     obs = [attribute_sample("payment", 1, "transaction_reject_rate", 0.99)]
-    report = assess_health(cg, obs, scope={"frontend", "cart"})
-    assert report.verdict == "healthy"
+    payload = _health(fresh_shop_engine, obs, {"scope": ["frontend", "cart"]})
+    assert payload["verdict"] == "healthy"
+    assert payload["root_causes"] == []
 
 
 # -- oracle properties ----------------------------------------------------------
@@ -303,8 +334,10 @@ def test_normalization_sums_to_one(seed):
     cg = random_inference_graph(rng)
     active = random_active_set(rng, cg, allow_empty=False)
     diagnosis = localize(cg, active, leak=LEAK)
-    assert diagnosis.ranked
-    assert sum(e.score for e in diagnosis.ranked) == pytest.approx(1.0, abs=1e-9)
+    explained = any(sid in active.symptoms for _, sid in cg.edges)
+    assert bool(diagnosis.ranked) == explained
+    if explained:
+        assert sum(e.score for e in diagnosis.ranked) == pytest.approx(1.0, abs=1e-9)
 
 
 # -- instantiated end to end -----------------------------------------------------
@@ -331,6 +364,39 @@ def test_observation_stream_round_trip():
 def test_observation_stream_parse_error_located():
     with pytest.raises(DocumentError, match="line 2"):
         parse_observations('{"tick": 1, "entity": "e", "symptom": "s"}\n{oops\n')
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"entity": ["payment"], "symptom": "transaction_rejections"}, "'entity' must be a string"),
+    ({"entity": 7, "symptom": "transaction_rejections"}, "'entity' must be a string"),
+    ({"entity": None, "symptom": "transaction_rejections"}, "'entity' must be a string"),
+    ({"entity": "payment", "symptom": ["transaction_rejections"]},
+     "'symptom' must be a string"),
+    ({"entity": "payment", "attribute": {"a": 1}, "value": 1.0}, "'attribute' must be a string"),
+    ({"entity": "payment", "attribute": "transaction_reject_rate", "value": math.nan},
+     "'value' must be a finite number"),
+    ({"entity": "payment", "attribute": "transaction_reject_rate", "value": -math.inf},
+     "'value' must be a finite number"),
+    ({"entity": "payment", "attribute": "transaction_reject_rate", "value": True},
+     "'value' must be a finite number"),
+])
+def test_observation_fields_validated(fields, message):
+    with pytest.raises(DocumentError, match=message):
+        observation_from_dict({"tick": 1, **fields})
+    with pytest.raises(DocumentError, match=f"line 1: {message}"):
+        parse_observations(json.dumps({"tick": 1, **fields}) + "\n")
+
+
+def test_nan_sample_cannot_clear_an_active_symptom(fresh_shop_engine):
+    engine = fresh_shop_engine
+    engine.ingest(parse_observations(
+        '{"tick": 1, "entity": "payment", "attribute": "transaction_reject_rate", '
+        '"value": 0.99}\n'))
+    assert len(engine.snapshot().active().symptoms) == 1
+    with pytest.raises(DocumentError):
+        parse_observations('{"tick": 2, "entity": "payment", '
+                           '"attribute": "transaction_reject_rate", "value": NaN}\n')
+    assert len(engine.snapshot().active().symptoms) == 1
 
 
 def test_scores_independent_of_active_set_insertion_order(shop_engine):

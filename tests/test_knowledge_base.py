@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cie.errors import DocumentError
-from cie.knowledge_base import (load_codebook, render_codebook,
-                                render_codebook_json)
+from cie.knowledge_base import load_codebook, render_codebook
 
 from genmodels import random_codebook
 
@@ -116,19 +115,20 @@ def test_causes_for_type_declaration_order():
 
 def test_rules_for_no_rules():
     cb = load_codebook(MINIMAL)
-    assert cb.rules_for("errors", "conn") == []
+    assert cb.steps == {"errors": ()}
+    assert cb.back_steps == {"errors": ()}
 
 
 def test_rules_for_reverse_conn_caller_ward(chain_codebook):
-    rules = chain_codebook.rules_for("high_error_rate", "conn")
-    assert len(rules) == 1
-    assert rules[0].traversal == "reverse"
-    assert chain_codebook.rules_for("high_error_rate", "layer") == []
-
-
-def test_rules_for_unknown_symptom(chain_codebook):
-    with pytest.raises(DocumentError):
-        chain_codebook.rules_for("phantom", "conn")
+    # The rules for a symptom, as the step tables hold them: a reverse conn
+    # rule steps from a callee to its callers, against the edge direction
+    # going forward and along it going back.
+    (step,) = chain_codebook.steps["high_error_rate"]
+    kind, rule, direction, next_type, next_symptom = step
+    assert (kind, rule.traversal, direction) == ("conn", "reverse", "in")
+    assert (next_type, next_symptom) == ("service", "high_error_rate")
+    (back,) = chain_codebook.back_steps["high_error_rate"]
+    assert back[:3] == ("conn", rule, "out")
 
 
 def test_default_prior_applied_when_omitted():
@@ -140,7 +140,7 @@ def test_default_prior_applied_when_omitted():
 def test_shop_codebook_round_trip(shop_codebook_path):
     cb = load_codebook(shop_codebook_path.read_text())
     assert load_codebook(render_codebook(cb)) == cb
-    assert load_codebook(render_codebook_json(cb)) == cb
+    assert load_codebook(json.dumps(render_codebook(cb))) == cb
 
 
 @settings(max_examples=80, deadline=None)
@@ -168,3 +168,45 @@ def test_validation_is_total_on_junk_documents():
     for doc in junk:
         with pytest.raises(DocumentError):
             load_codebook(doc)
+
+
+def _with(path, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("types", 0, "name"), ["svc"], "'name' must be a string"),
+    (("types", 0, "attributes"), [["error_rate"]], "'attributes' must be a list of strings"),
+    (("types", 0, "attributes"), "error_rate", "'attributes' must be a list of strings"),
+    (("symptoms", 0, "name"), ["errors"], "'name' must be a string"),
+    (("symptoms", 0, "applies_to"), ["svc"], "'applies_to' must be a string"),
+    (("root_causes", 0, "name"), {"bug": 1}, "'name' must be a string"),
+    (("root_causes", 0, "local_symptoms", 0, "symptom"), ["errors"],
+     "'symptom' must be a string"),
+    (("symptoms", 0, "activation", "threshold"), float("nan"), "finite number"),
+    (("symptoms", 0, "activation", "threshold"), float("inf"), "finite number"),
+    (("symptoms", 0, "activation", "threshold"), True, "finite number"),
+    (("symptoms", 0, "activation", "threshold"), "0.1", "finite number"),
+])
+def test_malformed_fields_are_document_errors(path, value, message):
+    doc = _with(path, value)
+    with pytest.raises(DocumentError, match=message):
+        load_codebook(doc)
+    with pytest.raises(DocumentError, match=message):
+        load_codebook(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["id", "from_symptom", "to_symptom", "relation",
+                                   "traversal"])
+def test_malformed_rule_fields_are_document_errors(field):
+    rule = {"id": "r", "from_symptom": "errors", "relation": "conn",
+            "traversal": "reverse", "to_symptom": "errors", "attenuation": 0.5}
+    rule[field] = [rule[field]]
+    with pytest.raises(DocumentError, match=f"'{field}' must be a string"):
+        load_codebook(_with(("propagation_rules",), [rule]))
