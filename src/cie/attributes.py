@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleError, DocumentError, UnknownIdError
+from .knowledge_base import is_finite_number
 
 CHANGE_TOLERANCE = 1e-12
 FUNCTION_FORMS = ("affine", "sum", "max", "table")
@@ -30,8 +31,9 @@ class DependencyFunction:
             raise DocumentError(f"function form {self.form!r} is reserved and not evaluable")
         if self.form not in FUNCTION_FORMS:
             raise DocumentError(f"unknown function form {self.form!r}")
-        if self.form == "affine" and (self.a is None or self.b is None):
-            raise DocumentError("affine requires coefficients 'a' and 'b'")
+        if self.form == "affine" and not (is_finite_number(self.a)
+                                          and is_finite_number(self.b)):
+            raise DocumentError("affine requires finite-number coefficients 'a' and 'b'")
         if self.form == "table":
             xs = [x for x, _ in self.points]
             ys = [y for _, y in self.points]
@@ -265,6 +267,9 @@ def load_attribute_graph(document, graph, cb) -> AttributeGraph:
             raise DocumentError(
                 f"attribute {name!r} not declared on type "
                 f"{graph.entity(eid).entity_type!r}", location=loc)
+        for key in ("value", "baseline"):
+            if raw.get(key) is not None and not is_finite_number(raw[key]):
+                raise DocumentError(f"{key!r} must be a finite number or null", location=loc)
         ag.add_node(AttributeNode(id=attribute_id(eid, name), host_entity=eid,
                                   attribute_name=name, value=raw.get("value"),
                                   baseline=raw.get("baseline"), unit=raw.get("unit", "")))
@@ -278,9 +283,15 @@ def load_attribute_graph(document, graph, cb) -> AttributeGraph:
         fn_raw = raw["function"]
         if not isinstance(fn_raw, dict) or "form" not in fn_raw:
             raise DocumentError("function requires 'form'", location=loc)
+        points = fn_raw.get("points", [])
+        if not (isinstance(points, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))
+                for p in points)):
+            raise DocumentError("'points' must be a list of [x, y] pairs of finite numbers",
+                                location=loc)
         try:
             fn = DependencyFunction(form=fn_raw["form"], a=fn_raw.get("a"), b=fn_raw.get("b"),
-                                    points=tuple((x, y) for x, y in fn_raw.get("points", [])))
+                                    points=tuple((x, y) for x, y in points))
             ag.add_dependency(AttributeDependency(parent=raw["from"], dependent=raw["to"],
                                                   function=fn))
         except (DocumentError, UnknownIdError, CycleError) as exc:

@@ -1,10 +1,11 @@
-"""Impacted-entity sets, blast radius, ownership, and remediation alignment.
+"""Impacted-entity sets, blast radius, owner teams, and remediation alignment.
 
 The blast radius starts from the entities hosting a cause's effects and
 extends them by calling the causality layer's rule closure
-(``causality.rule_closure``) in fewest-hop order; one shortest propagation
-path is recorded per reached entity, and also compacted into ``via``, the
-form the tool service sends. A proposed action is causally aligned
+(``causality.rule_closure``) in fewest-hop order. The first, fewest-hop
+derivation that reaches an entity is its propagation path, kept only as
+``via``, the compact form the tool service sends; remediation decodes the
+one chain it cites from it. A proposed action is causally aligned
 only when it targets the cause's host or the host's layer/comp stack;
 fixing a caller never removes a callee's defect.
 """
@@ -19,34 +20,30 @@ from .knowledge_base import Codebook
 from .topology import EntityGraph
 
 
-@dataclass(frozen=True)
-class ImpactHop:
-    """One propagation step in effect direction (from_entity suffers first)."""
-
-    rule_id: str
-    from_entity: str
-    to_entity: str
-    kind: str
-
-
 @dataclass
 class BlastRadius:
     cause: str
     direct_entities: frozenset[str]
     transitive_entities: frozenset[str]
-    paths: dict[str, tuple[ImpactHop, ...]]
     impacted_teams: frozenset[str]
-    direct_teams: frozenset[str]
     truncations: tuple[str, ...] = ()
-    # The paths, compacted for the wire: for each entity but the host,
+    # One propagation path in effect direction for each entity but the host:
     # (from_entity, rule_id) when its path is from_entity's path plus one hop,
-    # else the whole chain (e0, r1, e1, ..., e_{k-1}, r_k).
+    # else the whole chain (e0, r1, e1, ..., e_{k-1}, r_k), e0 the host.
     via: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+    def chain(self, entity: str) -> tuple[str, ...]:
+        """The entities on ``entity``'s path, from the host to ``entity``."""
+        tail = [entity]
+        entry = self.via.get(entity)
+        while entry is not None and len(entry) == 2:
+            tail.append(entry[0])
+            entry = self.via.get(entry[0])
+        return tuple(entry[0::2] if entry else ()) + tuple(reversed(tail))
 
 
 @dataclass
 class RemediationVerdict:
-    action_target: str
     aligned: bool
     rationale: str
     path: tuple[str, ...] = field(default_factory=tuple)  # entity chain host -> target
@@ -60,17 +57,11 @@ def impacted_entities(cg: CausalityGraph, cause_id: str) -> set[str]:
     return hosts
 
 
-def derivation_to_impact_hops(derivation, cb: Codebook) -> tuple[ImpactHop, ...]:
-    """Re-orient stored relation hops into effect direction using each rule's
-    traversal: forward rules flow source->target, reverse rules the opposite."""
-    rules = cb.rules_by_id
-    hops = []
-    for hop in derivation:
-        if rules[hop.rule_id].traversal == "forward":
-            hops.append(ImpactHop(hop.rule_id, hop.source, hop.target, hop.kind))
-        else:
-            hops.append(ImpactHop(hop.rule_id, hop.target, hop.source, hop.kind))
-    return tuple(hops)
+def owner_teams(topology: EntityGraph, entity_ids) -> frozenset[str]:
+    """The owner teams of those of ``entity_ids`` the topology holds."""
+    return frozenset(
+        t for t in (topology.entity(eid).owner_team for eid in entity_ids if eid in topology)
+        if t)
 
 
 def blast_radius(topology: EntityGraph, cg: CausalityGraph, cb: Codebook,
@@ -79,11 +70,11 @@ def blast_radius(topology: EntityGraph, cg: CausalityGraph, cb: Codebook,
 
     Each effect symptom re-expands with a fresh depth budget, so the radius
     is the rule-closure fixpoint of the compiled effects (states settle at
-    their minimal hop count; paths record the first, fewest-hop chain).
+    their minimal hop count; ``via`` records the first, fewest-hop chain).
     """
     if max_depth is None:
         max_depth = DEFAULT_MAX_DEPTH
-    cause = cg.cause(cause_id)
+    host = cg.cause(cause_id).host_entity
     direct = frozenset(impacted_entities(cg, cause_id))
 
     effects = sorted(cg.edges_from(cause_id), key=lambda e: (len(e.derivation), e.symptom_id))
@@ -92,40 +83,32 @@ def blast_radius(topology: EntityGraph, cg: CausalityGraph, cb: Codebook,
         [(cg.symptoms[e.symptom_id].symptom_name, cg.symptoms[e.symptom_id].host_entity,
           e.derivation) for e in effects],
         max_depth, by_probability=False)
-    kept: dict[str, tuple] = {cause.host_entity: ()}
+    kept: dict[str, tuple] = {host: ()}
     for (_, ent), (_, derivation) in settled.items():
         kept.setdefault(ent, derivation)
-    paths = {ent: derivation_to_impact_hops(derivation, cb)
-             for ent, derivation in kept.items()}
     via = {}
-    for ent, hops in paths.items():
-        if not hops:
+    for ent, derivation in kept.items():
+        if not derivation:
             continue
-        last = hops[-1]
+        # Every derivation starts at the host, and a relation joins two
+        # distinct entities, so a hop leaves the end the path arrived at.
+        last = derivation[-1]
+        pred = last.source if last.target == ent else last.target
         # Child derivations share their parent's hop objects, so this tuple
         # comparison mostly settles on identity.
-        if kept.get(last.from_entity) == kept[ent][:-1]:
-            via[ent] = (last.from_entity, last.rule_id)
-        else:
-            via[ent] = tuple(x for h in hops for x in (h.from_entity, h.rule_id))
+        if kept.get(pred) == derivation[:-1]:
+            via[ent] = (pred, last.rule_id)
+            continue
+        entry, at = [], host
+        for hop in derivation:
+            entry += (at, hop.rule_id)
+            at = hop.source if hop.target == at else hop.target
+        via[ent] = tuple(entry)
     truncations = {f"depth limit {max_depth} reached at {sym}@{ent}" for sym, ent in truncated}
-
-    transitive = frozenset(paths)
-    impacted_teams = frozenset(
-        t for t in (topology.entity(eid).owner_team for eid in transitive if eid in topology)
-        if t)
-    direct_teams = frozenset(
-        t for t in (topology.entity(eid).owner_team for eid in direct if eid in topology)
-        if t)
     return BlastRadius(cause=cause_id, direct_entities=direct,
-                       transitive_entities=transitive, paths=paths,
-                       impacted_teams=impacted_teams, direct_teams=direct_teams,
+                       transitive_entities=frozenset(kept),
+                       impacted_teams=owner_teams(topology, kept),
                        truncations=tuple(sorted(truncations)), via=via)
-
-
-def ownership_check(br: BlastRadius, team: str) -> bool:
-    """Does the team own any directly impacted entity?"""
-    return team in br.direct_teams
 
 
 def remediation_alignment(topology: EntityGraph, cg: CausalityGraph, br: BlastRadius,
@@ -161,26 +144,21 @@ def remediation_alignment(topology: EntityGraph, cg: CausalityGraph, br: BlastRa
             chain.append(stack_parent[chain[-1]])
         chain.reverse()
         where = "the failure source" if action_target == host else "its hosting stack"
-        return RemediationVerdict(action_target=action_target, aligned=True,
+        return RemediationVerdict(aligned=True,
                                   rationale=f"targets {where}: {' -> '.join(chain)}",
                                   path=tuple(chain))
 
-    hops = br.paths.get(action_target)
-    if hops is not None:
-        chain = (host,) + tuple(h.to_entity for h in hops) if hops else (host,)
-        if hops:
-            described = " -> ".join([hops[0].from_entity] + [h.to_entity for h in hops])
-        else:
-            described = action_target
+    if action_target in br.transitive_entities:
+        chain = br.chain(action_target)
         return RemediationVerdict(
-            action_target=action_target, aligned=False,
+            aligned=False,
             rationale=(f"{action_target} is a downstream effect of {host} "
-                       f"(propagation {described}); acting there may suppress "
+                       f"(propagation {' -> '.join(chain)}); acting there may suppress "
                        "symptoms without resolving the underlying defect"),
             path=chain)
 
     return RemediationVerdict(
-        action_target=action_target, aligned=False,
+        aligned=False,
         rationale=(f"{action_target} is outside the blast radius of {br.cause}; "
                    f"the failure source is hosted on {host}"),
         path=(host,))

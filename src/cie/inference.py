@@ -42,6 +42,8 @@ class Observation:
                 "observation must carry either attribute/value or symptom")
         if is_sample and self.value is None:
             raise DocumentError(f"attribute sample {self.attribute!r} has no value")
+        if self.value is not None and not is_finite_number(self.value):
+            raise DocumentError("'value' must be a finite number")
 
 
 def attribute_sample(target: str, tick: int, attribute: str, value: float) -> Observation:
@@ -211,12 +213,9 @@ def observation_from_dict(raw: dict, location: str | None = None) -> Observation
     for key in ("attribute", "symptom"):
         if raw.get(key) is not None and not isinstance(raw[key], str):
             raise DocumentError(f"{key!r} must be a string", location=location)
-    value = raw.get("value")
-    if value is not None and not is_finite_number(value):
-        raise DocumentError("'value' must be a finite number", location=location)
     try:
         return Observation(target=raw["entity"], tick=raw["tick"],
-                           attribute=raw.get("attribute"), value=value,
+                           attribute=raw.get("attribute"), value=raw.get("value"),
                            symptom=raw.get("symptom"))
     except DocumentError as exc:
         raise DocumentError(str(exc), location=location) from None

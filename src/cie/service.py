@@ -17,6 +17,11 @@ predecessor form (one-hop paths start at the host, so both forms agree),
 and each hop's relation kind is its rule's. An entity name equal to the id
 is omitted: ``name`` in ``get_topology``, ``entity_name`` in symptom and
 cause summaries.
+
+Both team answers, ``owns_impacted`` in ``get_blast_radius`` and
+``responsible`` in ``get_root_causes``, say whether the team owns a direct
+entity: the cause's host or a host of one of its effect symptoms. So
+``get_root_causes`` reads only those hosts and builds no blast radius.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from json import JSONEncoder
 
 from .engine import Engine, EngineSnapshot
 from .errors import DocumentError, EngineError, UnknownIdError
-from .impact import ownership_check
+from .impact import impacted_entities, owner_teams
 from .topology import Entity
 
 TOOL_SCHEMA = "tool/2"
@@ -187,8 +192,9 @@ def _handle_root_causes(snapshot: EngineSnapshot, params: dict) -> dict:
                "best": _cause_summary(snapshot, diagnosis.best),
                "ranked": [_cause_summary(snapshot, e) for e in diagnosis.ranked]}
     if team is not None:
-        radius = snapshot.blast_radius(diagnosis.best.cause_id)
-        payload["team"] = {"team": team, "responsible": ownership_check(radius, team)}
+        direct = impacted_entities(snapshot.causality, diagnosis.best.cause_id)
+        owns = team in owner_teams(snapshot.topology, direct)
+        payload["team"] = {"team": team, "responsible": owns}
     return payload
 
 
@@ -217,7 +223,8 @@ def _handle_blast_radius(snapshot: EngineSnapshot, params: dict) -> dict:
         "truncated": bool(radius.truncations),
     }
     if team is not None:
-        payload["team"] = {"team": team, "owns_impacted": ownership_check(radius, team)}
+        owns = team in owner_teams(snapshot.topology, radius.direct_entities)
+        payload["team"] = {"team": team, "owns_impacted": owns}
     return payload
 
 

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from cie.attributes import (AttributeDependency, AttributeGraph, AttributeNode,
                             DependencyFunction)
 from cie.causality import (DEFAULT_MAX_DEPTH, CausalEdge, CausalityGraph, RootCauseInstance,
                            SymptomInstance, instance_id, rule_closure)
-from cie.impact import ImpactHop
 from cie.inference import ActiveSymptomSet
 from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
                                 PropagationRule, RootCauseDef, SymptomDef)
@@ -336,15 +336,67 @@ def blast_fixpoint(graph: EntityGraph, cb: Codebook, cg, cause_id: str) -> set[s
     return hosts
 
 
-def expand_via(via: dict, transitive, cb: Codebook, host: str) -> dict[str, tuple]:
+class Hop(NamedTuple):
+    """One propagation step in effect direction (from_entity suffers first)."""
+
+    rule_id: str
+    from_entity: str
+    to_entity: str
+    kind: str
+
+
+def derivation_to_hops(derivation, cb: Codebook) -> tuple[Hop, ...]:
+    """Re-orient stored relation hops into effect direction using each rule's
+    traversal: forward rules flow source->target, reverse rules the opposite."""
+    rules = cb.rules_by_id
+    return tuple(Hop(h.rule_id, h.source, h.target, h.kind)
+                 if rules[h.rule_id].traversal == "forward"
+                 else Hop(h.rule_id, h.target, h.source, h.kind)
+                 for h in derivation)
+
+
+def reference_paths(graph: EntityGraph, cg, cb: Codebook, cause_id: str,
+                    max_depth: int) -> dict[str, tuple[Hop, ...]]:
+    """Reference encoder, part one: the first, fewest-hop derivation of every
+    entity in a cause's blast radius, re-oriented by rule traversal."""
+    host = cg.cause(cause_id).host_entity
+    effects = sorted(cg.edges_from(cause_id), key=lambda e: (len(e.derivation), e.symptom_id))
+    settled, _ = rule_closure(
+        graph, cb, cg.entity_types,
+        [(cg.symptoms[e.symptom_id].symptom_name, cg.symptoms[e.symptom_id].host_entity,
+          e.derivation) for e in effects],
+        max_depth, by_probability=False)
+    paths = {host: ()}
+    for (_, ent), (_, derivation) in settled.items():
+        if ent not in paths:
+            paths[ent] = derivation_to_hops(derivation, cb)
+    return paths
+
+
+def reference_via(paths: dict[str, tuple[Hop, ...]]) -> dict[str, tuple[str, ...]]:
+    """Reference encoder, part two: ``paths`` in the wire ``via`` form, the
+    predecessor form wherever the predecessor's path is a prefix."""
+    via = {}
+    for ent, hops in paths.items():
+        if not hops:
+            continue
+        last = hops[-1]
+        if paths.get(last.from_entity) == hops[:-1]:
+            via[ent] = (last.from_entity, last.rule_id)
+        else:
+            via[ent] = tuple(x for h in hops for x in (h.from_entity, h.rule_id))
+    return via
+
+
+def expand_via(via: dict, transitive, cb: Codebook, host: str) -> dict[str, tuple[Hop, ...]]:
     """Client-side decoder of a blast radius's wire ``via``: the full path
-    of every transitive entity, as ``BlastRadius.paths`` holds it. An entry
+    of every transitive entity, as ``reference_paths`` builds it. An entry
     of length 2 is [from_entity, rule_id], the predecessor's path plus one
     hop; a longer one is the chain [e0, r1, e1, ..., e_{k-1}, r_k]. Each
     hop's relation kind is its rule's."""
     assert set(transitive) == set(via) | {host} and host not in via
     rules = cb.rules_by_id
-    paths: dict[str, tuple[ImpactHop, ...]] = {host: ()}
+    paths: dict[str, tuple[Hop, ...]] = {host: ()}
     for start in via:
         pending = [start]
         while pending:
@@ -359,12 +411,11 @@ def expand_via(via: dict, transitive, cb: Codebook, host: str) -> dict[str, tupl
                     assert pred not in pending, f"predecessor cycle through {pred}"
                     pending.append(pred)
                     continue
-                path = paths[pred] + (ImpactHop(rule_id, pred, ent,
-                                                rules[rule_id].over_relation),)
+                path = paths[pred] + (Hop(rule_id, pred, ent, rules[rule_id].over_relation),)
             else:
                 assert len(entry) % 2 == 0 and len(entry) > 2, entry
                 chain = list(entry[0::2]) + [ent]
-                path = tuple(ImpactHop(rule_id, a, b, rules[rule_id].over_relation)
+                path = tuple(Hop(rule_id, a, b, rules[rule_id].over_relation)
                              for rule_id, a, b in zip(entry[1::2], chain, chain[1:]))
             paths[ent] = path
             pending.pop()

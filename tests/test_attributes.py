@@ -184,6 +184,18 @@ def shop_attribute_graph(shop_env_path, shop_codebook_path):
     ("attribute_dependencies",
      [{"from": ["payment:error_rate"], "to": "checkout:error_rate",
        "function": {"form": "sum"}}], "must be attribute ids"),
+    ("attributes", [{"entity": "payment", "attribute": "error_rate", "value": "high"}],
+     "'value' must be a finite number or null"),
+    ("attributes", [{"entity": "payment", "attribute": "error_rate", "value": 0.1,
+                     "baseline": [0.1]}], "'baseline' must be a finite number or null"),
+    ("attribute_dependencies", [{"from": "a", "to": "b", "function": {
+        "form": "table", "points": [[1]]}}], "pairs of finite numbers"),
+    ("attribute_dependencies", [{"from": "a", "to": "b", "function": {
+        "form": "table", "points": 5}}], "pairs of finite numbers"),
+    ("attribute_dependencies", [{"from": "a", "to": "b", "function": {
+        "form": "table", "points": [[0, 1], [1, "2"]]}}], "pairs of finite numbers"),
+    ("attribute_dependencies", [{"from": "a", "to": "b", "function": {
+        "form": "affine", "a": "x", "b": 0}}], "finite-number coefficients"),
 ])
 def test_malformed_attribute_fields_are_document_errors(shop_env_path, shop_codebook_path,
                                                         key, value, message):

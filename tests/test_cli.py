@@ -182,6 +182,19 @@ def test_serve_rejects_malformed_environment_cleanly(runner, shop_codebook_path,
     assert not isinstance(result.exception, TypeError)
 
 
+def test_serve_rejects_malformed_attribute_points_cleanly(runner, shop_env_path,
+                                                        shop_codebook_path, tmp_path):
+    doc = json.loads(shop_env_path.read_text())
+    doc["attribute_dependencies"][0]["function"] = {"form": "table", "points": 5}
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["serve", "--env", str(env),
+                                  "--codebook", str(shop_codebook_path)], input="")
+    assert result.exit_code == 1
+    assert "pairs of finite numbers" in result.output
+    assert not isinstance(result.exception, TypeError)
+
+
 @pytest.mark.parametrize("line", ['{"tick": 1, "entity": "payment", '
                                   '"attribute": "transaction_reject_rate", "value": NaN}',
                                   '{"tick": 1, "entity": ["payment"], "symptom": "s"}'])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -86,6 +87,18 @@ def test_engine_accepts_boundary_parameters(shop_env_path, shop_codebook_path):
     engine.ingest([attribute_sample("payment", 1, "transaction_reject_rate", 0.95)])
     assert engine.snapshot().diagnosis().best is not None
     assert (engine.leak, engine.max_depth) == (0.5, 0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_sample_is_rejected_and_active_set_kept(shop_env_path, shop_codebook_path,
+                                                           value):
+    engine = Engine.from_files(shop_env_path, shop_codebook_path)
+    engine.ingest([attribute_sample("payment", 1, "transaction_reject_rate", 0.99)])
+    before = engine.snapshot().active()
+    assert len(before.symptoms) == 1
+    with pytest.raises(DocumentError, match="'value' must be a finite number"):
+        engine.ingest([attribute_sample("payment", 2, "transaction_reject_rate", value)])
+    assert engine.snapshot().active() == before
 
 
 # -- snapshot reuse ---------------------------------------------------------------

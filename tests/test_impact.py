@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from cie.causality import instantiate
 from cie.errors import UnknownIdError
-from cie.impact import (blast_radius, impacted_entities, ownership_check,
-                        remediation_alignment)
+from cie.impact import blast_radius, impacted_entities, owner_teams, remediation_alignment
 from cie.knowledge_base import (Codebook, EntityTypeDef, PropagationRule, RootCauseDef,
                                 SymptomDef)
 from cie.topology import Entity, EntityGraph, Relation
 
-from genmodels import blast_fixpoint, expand_via, random_codebook, random_topology
+from genmodels import (blast_fixpoint, expand_via, random_codebook, random_topology,
+                       reference_paths, reference_via)
 
 UNBOUNDED = 64
 PAYMENT_DEFECT = "code_defect_transaction_rejection@payment"
@@ -57,7 +57,7 @@ def test_blast_radius_no_rules_transitive_equals_direct(shop):
     topology, cg, cb = shop
     br = blast_radius(topology, cg, cb, "broker_degradation@kafka")
     assert br.transitive_entities == br.direct_entities == frozenset({"kafka"})
-    assert br.paths == {"kafka": ()}
+    assert br.via == {}
 
 
 def test_scenario_blast_radius_spans_multiple_teams(shop):
@@ -69,14 +69,14 @@ def test_scenario_blast_radius_spans_multiple_teams(shop):
         {"team-payments", "team-storefront", "team-fulfillment"})
     assert len(br.impacted_teams) > 1
     # every transitive entity carries a recorded path; victims explain their hop chain
-    assert set(br.paths) == set(br.transitive_entities)
-    assert len(br.paths["checkout"]) == 1
-    assert (br.paths["checkout"][0].from_entity, br.paths["checkout"][0].to_entity) == (
+    paths = expand_via(br.via, br.transitive_entities, cb, "payment")
+    assert len(paths["checkout"]) == 1
+    assert (paths["checkout"][0].from_entity, paths["checkout"][0].to_entity) == (
         "payment", "checkout")
-    assert [h.rule_id for h in br.paths["shipping"]] == [
+    assert [h.rule_id for h in paths["shipping"]] == [
         "payment-rejections-hit-callers", "order-failures-starve-shipping"]
-    assert br.paths["shipping"][0].from_entity == "payment"
-    assert br.paths["shipping"][1].to_entity == "shipping"
+    assert paths["shipping"][0].from_entity == "payment"
+    assert paths["shipping"][1].to_entity == "shipping"
 
 
 def test_blast_radius_depth_truncation_on_chain(chain_codebook):
@@ -91,8 +91,9 @@ def test_blast_radius_depth_truncation_on_chain(chain_codebook):
     # the effects reach s8; each re-expands with a fresh budget of 3 hops
     assert br.transitive_entities == frozenset(f"s{i}" for i in range(5, 12))
     assert br.truncations == ("depth limit 3 reached at high_error_rate@s5",)
+    paths = expand_via(br.via, br.transitive_entities, chain_codebook, "s11")
     for i in range(5, 12):
-        hops = br.paths[f"s{i}"]
+        hops = paths[f"s{i}"]
         assert len(hops) == 11 - i
         assert [(h.from_entity, h.to_entity) for h in hops] == [
             (f"s{j}", f"s{j - 1}") for j in range(11, i, -1)]
@@ -126,26 +127,23 @@ def test_causality_keeps_likeliest_chain_while_blast_path_keeps_fewest_hops():
     assert cg.edge("defect@X", "lat@Y").derivation[0].rule_id == "shortcut-lat"
 
     br = blast_radius(graph, cg, cb, "defect@X")
-    assert [(h.rule_id, h.from_entity, h.to_entity) for h in br.paths["Y"]] == [
-        ("shortcut-lat", "X", "Y")]
-    assert [(h.rule_id, h.from_entity, h.to_entity) for h in br.paths["M"]] == [
-        ("callers", "X", "M")]
-    assert br.paths["X"] == ()
+    assert br.via == {"Y": ("X", "shortcut-lat"), "M": ("X", "callers")}
 
 
 def test_ownership_checks_on_scenario(shop):
     topology, cg, cb = shop
     br = blast_radius(topology, cg, cb, PAYMENT_DEFECT)
-    assert ownership_check(br, "team-payments") is True
-    assert ownership_check(br, "team-storefront") is True  # checkout is direct
-    assert ownership_check(br, "team-platform") is False
-    assert ownership_check(br, "team-nobody") is False
+    teams = owner_teams(topology, br.direct_entities)
+    assert "team-payments" in teams
+    assert "team-storefront" in teams  # checkout is direct
+    assert "team-platform" not in teams
+    assert "team-nobody" not in teams
 
 
 def test_ownership_true_while_alignment_false_for_checkout(shop):
     topology, cg, cb = shop
     br = blast_radius(topology, cg, cb, PAYMENT_DEFECT)
-    assert ownership_check(br, "team-storefront") is True
+    assert "team-storefront" in owner_teams(topology, br.direct_entities)
     verdict = remediation_alignment(topology, cg, br, "checkout")
     assert verdict.aligned is False
 
@@ -220,7 +218,7 @@ def test_blast_radius_invariants_on_random_models(seed):
         br = blast_radius(graph, cg, cb, cid, max_depth=UNBOUNDED)
         assert br.direct_entities <= br.transitive_entities
         assert cg.causes[cid].host_entity in br.transitive_entities
-        assert set(br.paths) == set(br.transitive_entities)
+        assert set(br.via) == br.transitive_entities - {cg.causes[cid].host_entity}
         assert br.transitive_entities == frozenset(blast_fixpoint(graph, cb, cg, cid))
 
 
@@ -236,7 +234,8 @@ def test_blast_paths_follow_existing_relations_from_host(seed, max_depth):
         host = cg.causes[cid].host_entity
         local = {name for name, _ in cb.cause(cg.causes[cid].cause_name).local_symptoms}
         br = blast_radius(graph, cg, cb, cid, max_depth=max_depth)
-        for ent, hops in br.paths.items():
+        paths = expand_via(br.via, br.transitive_entities, cb, host)
+        for ent, hops in paths.items():
             assert (hops[-1].to_entity if hops else host) == ent
             if not hops:
                 continue
@@ -264,12 +263,34 @@ def test_via_expands_to_the_paths_on_random_models(seed, max_depth):
     cg = instantiate(graph, cb, max_depth=max_depth)
     for cid in sorted(cg.causes):
         br = blast_radius(graph, cg, cb, cid, max_depth=max_depth)
+        paths = reference_paths(graph, cg, cb, cid, max_depth)
+        assert br.via == reference_via(paths)
         assert expand_via(br.via, br.transitive_entities, cb,
-                          cg.causes[cid].host_entity) == br.paths
+                          cg.causes[cid].host_entity) == paths
         for ent, entry in br.via.items():
             # the chain form only where the predecessor form cannot say it
-            pred = br.paths[ent][-1].from_entity
-            assert (len(entry) == 2) == (br.paths.get(pred) == br.paths[ent][:-1])
+            pred = paths[ent][-1].from_entity
+            assert (len(entry) == 2) == (paths.get(pred) == paths[ent][:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=8))
+def test_downstream_remediation_path_is_the_via_chain_on_random_models(seed, max_depth):
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    graph = random_topology(rng, cb)
+    cg = instantiate(graph, cb, max_depth=max_depth)
+    for cid in sorted(cg.causes):
+        host = cg.causes[cid].host_entity
+        br = blast_radius(graph, cg, cb, cid, max_depth=max_depth)
+        paths = expand_via(br.via, br.transitive_entities, cb, host)
+        for target in sorted(br.transitive_entities):
+            verdict = remediation_alignment(graph, cg, br, target)
+            if verdict.aligned:
+                continue
+            chain = (host,) + tuple(h.to_entity for h in paths[target])
+            assert verdict.path == chain
+            assert f"(propagation {' -> '.join(chain)})" in verdict.rationale
 
 
 @settings(max_examples=40, deadline=None)
@@ -320,4 +341,4 @@ def test_ownership_check_is_set_intersection(seed):
         for team in ("alpha", "beta", "gamma"):
             owned = {eid for eid, e in rebuilt.entities.items() if e.owner_team == team}
             expected = bool(br.direct_entities & owned)
-            assert ownership_check(br, team) == expected
+            assert (team in owner_teams(rebuilt, br.direct_entities)) == expected

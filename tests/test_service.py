@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import cie.impact
 from cie import data
 from cie.engine import Engine
 from cie.harness import background_observations, inject_fault, load_scenario
@@ -13,7 +14,7 @@ from cie.inference import attribute_sample
 from cie.service import MAX_FRAME_CHARS, METHODS, handle, serve
 from cie.topology import Entity, EntityGraph, Relation
 
-from genmodels import expand_via
+from genmodels import expand_via, reference_paths
 
 
 @pytest.fixture()
@@ -71,6 +72,21 @@ def test_root_causes_team_projection(fault_engine):
     assert payload["team"]["responsible"] is False
 
 
+def test_root_causes_team_answer_builds_no_blast_radius(fault_engine, monkeypatch):
+    calls = []
+    real = cie.impact.blast_radius
+    monkeypatch.setattr(cie.impact, "blast_radius",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    teams = ("team-payments", "team-fulfillment", "team-platform")
+    responsible = [call(fault_engine, "get_root_causes", {"team": team}).payload["team"]
+                   ["responsible"] for team in teams]
+    assert calls == []
+    # the same team rule as get_blast_radius
+    assert responsible == [call(fault_engine, "get_blast_radius", {"team": team})
+                           .payload["team"]["owns_impacted"] for team in teams]
+    assert responsible == [True, True, False]
+
+
 def test_symptoms_scoped(fault_engine):
     payload = call(fault_engine, "get_symptoms", {"scope": ["payment"]}).payload
     names = {s["symptom_name"] for s in payload["symptoms"]}
@@ -92,7 +108,8 @@ def test_blast_radius_via_expands_to_the_paths_for_every_shop_cause(shop_engine)
         response = handle({"id": 1, "method": "get_blast_radius", "params": {"cause": cid}},
                           snapshot)
         payload = json.loads(json.dumps(response.to_dict()))["payload"]
-        paths = snapshot.blast_radius(cid).paths
+        paths = reference_paths(snapshot.topology, snapshot.causality, shop_engine.codebook,
+                                cid, snapshot.max_depth)
         assert expand_via(payload["via"], payload["transitive"], shop_engine.codebook,
                           payload["cause"]["entity"]) == paths
         for ent, entry in payload["via"].items():
