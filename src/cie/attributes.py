@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 from .errors import CycleError, DocumentError, UnknownIdError
 from .knowledge_base import is_finite_number
+from .topology import _parse_document
 
 CHANGE_TOLERANCE = 1e-12
 FUNCTION_FORMS = ("affine", "sum", "max", "table")
 RESERVED_FORMS = ("learned",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyFunction:
     form: str
     a: float | None = None
@@ -56,7 +57,7 @@ class DependencyFunction:
         raise AssertionError("unreachable: x inside table range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeNode:
     id: str
     host_entity: str
@@ -66,7 +67,7 @@ class AttributeNode:
     unit: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeDependency:
     parent: str
     dependent: str
@@ -248,8 +249,6 @@ def attribute_id(entity_id: str, attribute_name: str) -> str:
 def load_attribute_graph(document, graph, cb) -> AttributeGraph:
     """Read the ``attributes`` / ``attribute_dependencies`` arrays of an
     environment document, validating hosts and declarations."""
-    from .topology import _parse_document
-
     doc = _parse_document(document, "environment")
     for key in ("attributes", "attribute_dependencies"):
         if not isinstance(doc.get(key, []), list):

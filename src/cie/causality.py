@@ -35,7 +35,7 @@ from .topology import EntityGraph
 DEFAULT_MAX_DEPTH = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootCauseInstance:
     id: str
     cause_name: str
@@ -43,7 +43,7 @@ class RootCauseInstance:
     prior: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymptomInstance:
     id: str
     symptom_name: str
@@ -51,7 +51,7 @@ class SymptomInstance:
     activation: ActivationSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationHop:
     rule_id: str
     source: str
@@ -59,7 +59,7 @@ class DerivationHop:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CausalEdge:
     cause_id: str
     symptom_id: str

@@ -27,7 +27,7 @@ from .errors import DocumentError, EngineError
 from .inference import (ActiveSymptomSet, Diagnosis, Observation, localize,
                         parse_observations)
 from .knowledge_base import Codebook, SymptomDef, load_codebook
-from .topology import Entity, EntityGraph, Relation, load_environment
+from .topology import Entity, EntityGraph, Relation, _parse_document, load_environment
 
 
 class EngineSnapshot:
@@ -150,9 +150,11 @@ class Engine:
 
     @classmethod
     def from_documents(cls, env_document, codebook_document, **kwargs) -> Engine:
+        """The environment document is parsed once; both its loaders read the dict."""
         cb = load_codebook(codebook_document)
-        graph = load_environment(env_document, codebook=cb)
-        ag = load_attribute_graph(env_document, graph, cb)
+        env = _parse_document(env_document, "environment")
+        graph = load_environment(env, codebook=cb)
+        ag = load_attribute_graph(env, graph, cb)
         return cls(graph, cb, attribute_graph=ag, **kwargs)
 
     @classmethod

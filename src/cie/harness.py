@@ -26,7 +26,7 @@ SCENARIO_SCHEMA = "scenario/1"
 USE_CASES = ("health_assessment", "impact_analysis", "root_cause", "remediation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioQuery:
     query_id: str
     use_case: str

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .causality import DEFAULT_MAX_DEPTH, CausalityGraph, rule_closure
 from .errors import UnknownIdError
 from .knowledge_base import Codebook
-from .topology import EntityGraph
+from .topology import HOSTING_KINDS, EntityGraph
 
 
 @dataclass
@@ -131,7 +131,7 @@ def remediation_alignment(topology: EntityGraph, cg: CausalityGraph, br: BlastRa
     stack = {host}
     while frontier:
         current = frontier.pop()
-        for kind in ("layer", "comp"):
+        for kind in HOSTING_KINDS:
             for nbr in topology.adjacent(current, kind, "out"):
                 if nbr not in stack:
                     stack.add(nbr)

@@ -24,7 +24,7 @@ from .knowledge_base import is_finite_number
 DEFAULT_LEAK = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One telemetry record: an attribute sample or a symptom event."""
 
@@ -54,7 +54,7 @@ def symptom_event(target: str, tick: int, symptom: str) -> Observation:
     return Observation(target=target, tick=tick, symptom=symptom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActiveSymptomSet:
     symptoms: frozenset[str]
     as_of: int = 0
@@ -63,7 +63,7 @@ class ActiveSymptomSet:
         return bool(self.symptoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosisEntry:
     cause_id: str
     score: float  # normalized across the candidate set
@@ -72,7 +72,7 @@ class DiagnosisEntry:
     unexplained: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnosis:
     ranked: tuple[DiagnosisEntry, ...]
 

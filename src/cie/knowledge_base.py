@@ -20,7 +20,7 @@ COMPARATORS = (">", ">=", "<", "<=")
 DEFAULT_PRIOR = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActivationSpec:
     """How a symptom turns active: a threshold over one declared attribute,
     or a directly asserted event."""
@@ -45,20 +45,20 @@ class ActivationSpec:
 EVENT_ACTIVATION = ActivationSpec(kind="event")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityTypeDef:
     type_name: str
     attribute_decls: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymptomDef:
     symptom_name: str
     applies_to: str
     activation: ActivationSpec = EVENT_ACTIVATION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootCauseDef:
     cause_name: str
     applies_to: str
@@ -66,7 +66,7 @@ class RootCauseDef:
     prior: float = DEFAULT_PRIOR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropagationRule:
     rule_id: str
     from_symptom: str

@@ -52,7 +52,7 @@ MAX_FRAME_CHARS = 1 << 20
 _ENCODER = JSONEncoder(allow_nan=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToolResponse:
     request_id: object
     status: str  # "ok" | "error"
@@ -207,7 +207,7 @@ def _handle_blast_radius(snapshot: EngineSnapshot, params: dict) -> dict:
         cause_id = snapshot.best_cause()
         if cause_id is None:
             payload = {"cause": None, "direct": [], "transitive": [], "via": {},
-                       "teams": [], "multi_team": False,
+                       "teams": [], "multi_team": False, "truncated": False,
                        "message": f"no impacted services; {NO_ROOT_CAUSE}"}
             if team is not None:
                 payload["team"] = {"team": team, "owns_impacted": False}

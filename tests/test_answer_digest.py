@@ -76,15 +76,14 @@ SOURCES = {cls.name: (lambda cls=cls: _replay(cls, STEPS[cls])) for cls in STEPS
 SOURCES["shop-dump"] = _shop_dump_lines
 
 
+def _line_hash(line: str) -> str:
+    return hashlib.sha256(line.encode() + b"\n").hexdigest()[:LINE_HASH]
+
+
 def _record(lines: list[str]) -> dict:
-    digest = hashlib.sha256()
-    line_hashes = []
-    for line in lines:
-        data = line.encode() + b"\n"
-        digest.update(data)
-        line_hashes.append(hashlib.sha256(data).hexdigest()[:LINE_HASH])
-    return {"lines": len(lines), "sha256": digest.hexdigest(),
-            "line_hashes": "".join(line_hashes)}
+    return {"lines": len(lines),
+            "sha256": hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest(),
+            "line_hashes": "".join(map(_line_hash, lines))}
 
 
 @pytest.mark.parametrize("name", list(SOURCES))
@@ -94,12 +93,10 @@ def test_answers_match_the_committed_digest(name):
     got = _record(lines)
     if got["sha256"] == expected["sha256"]:
         return
-    old = expected["line_hashes"]
-    new = got["line_hashes"]
-    first = next((i for i in range(min(len(old), len(new)) // LINE_HASH)
-                  if old[i * LINE_HASH:(i + 1) * LINE_HASH]
-                  != new[i * LINE_HASH:(i + 1) * LINE_HASH]),
-                 min(len(old), len(new)) // LINE_HASH)
+    known = expected["line_hashes"]
+    known = [known[i:i + LINE_HASH] for i in range(0, len(known), LINE_HASH)]
+    first = next((i for i, (old, line) in enumerate(zip(known, lines))
+                  if old != _line_hash(line)), min(len(known), len(lines)))
     shown = lines[first] if first < len(lines) else "<no line: the replay ended early>"
     pytest.fail(f"{name}: answers changed. {got['lines']} lines (expected "
                 f"{expected['lines']}); first differing line {first}:\n{shown[:2000]}\n"

@@ -145,6 +145,14 @@ def test_blast_radius_healthy_reports_no_impact(healthy_engine):
     assert "no impacted services" in payload["message"]
 
 
+def test_blast_radius_without_a_cause_has_the_keys_of_one_with_a_cause(healthy_engine,
+                                                                        fault_engine):
+    healthy = call(healthy_engine, "get_blast_radius", {"team": "payments"}).payload
+    faulty = call(fault_engine, "get_blast_radius", {"team": "payments"}).payload
+    assert healthy["truncated"] is False
+    assert set(healthy) - {"message"} == set(faulty)
+
+
 def test_check_remediation_multiple_targets(fault_engine):
     payload = call(fault_engine, "check_remediation",
                    {"action_targets": ["payment-pod-0", "checkout"]}).payload

@@ -72,8 +72,9 @@ def test_unknown_entity_type_rejected_with_codebook(shop_engine):
 ])
 def test_malformed_fields_are_document_errors(entities, relations, message):
     doc = {"schema": "env/1", "entities": entities, "relations": relations}
-    with pytest.raises(DocumentError, match=message):
+    with pytest.raises(DocumentError, match=message) as err:
         load_environment(doc)
+    assert err.value.location == ("relations[0]" if relations else "entities[0]")
     with pytest.raises(DocumentError, match=message):
         load_environment(json.dumps(doc))
 
@@ -274,3 +275,102 @@ def test_adjacent_after_mutations_is_sorted_relation_scan(seed):
             assert graph.adjacent(eid, kind, "in") == tuple(sorted(
                 r.source for r in graph.relations if r.target == eid and r.kind == kind))
     assert graph._adjacency == EntityGraph(graph.entities, graph.relations)._adjacency
+
+
+def _reference_adjacent(reference, eid, kind, direction):
+    near, far = (0, 1) if direction == "out" else (1, 0)
+    return tuple(sorted(r[far] for r in reference if r[near] == eid and r[2] == kind))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_relation_store_matches_a_reference_set_under_mutations(seed):
+    # The adjacency is the one relation store; a plain set of (source,
+    # target, kind) triples, edited alongside the graph, is the oracle.
+    rng = random.Random(seed)
+    ids = [f"e{i}" for i in range(rng.randint(2, 7))]
+    reference = set()
+    for _ in range(rng.randint(0, 12)):
+        source, target = rng.sample(ids, 2)
+        reference.add((source, target, rng.choice(RELATION_KINDS)))
+    if rng.random() < 0.5:
+        graph = EntityGraph({eid: entity(eid) for eid in ids},
+                            frozenset(Relation(*r) for r in reference), rng.randint(0, 3))
+    else:
+        graph = load_environment({
+            "schema": "env/1", "entities": [{"id": eid, "type": "service"} for eid in ids],
+            "relations": [{"source": s, "target": t, "kind": k}
+                          for s, t, k in sorted(reference)]})
+    fresh = len(ids)
+    for _ in range(rng.randint(1, 25)):
+        present = sorted(graph.entity_ids())
+        op = rng.randrange(4)
+        if op == 0 or len(present) < 2:
+            graph = graph.add_entity(entity(f"e{fresh}"))
+            fresh += 1
+        elif op == 1:
+            eid = rng.choice(present)
+            graph = graph.remove_entity(eid)
+            reference = {r for r in reference if eid not in r[:2]}
+        elif op == 2:
+            if reference and rng.random() < 0.3:
+                triple = rng.choice(sorted(reference))
+                with pytest.raises(DuplicateIdError) as err:
+                    graph.add_relation(Relation(*triple))
+                assert str(err.value) == "duplicate relation ({}, {}, {})".format(*triple)
+                continue
+            triple = (*rng.sample(present, 2), rng.choice(RELATION_KINDS))
+            if triple in reference:
+                continue
+            graph = graph.add_relation(Relation(*triple))
+            reference.add(triple)
+        else:
+            if reference and rng.random() < 0.7:
+                triple = rng.choice(sorted(reference))
+                graph = graph.remove_relation(Relation(*triple))
+                reference.discard(triple)
+                continue
+            triple = (*rng.sample(present, 2), rng.choice(RELATION_KINDS))
+            if triple in reference:
+                continue
+            with pytest.raises(UnknownIdError) as err:
+                graph.remove_relation(Relation(*triple))
+            assert str(err.value) == "unknown relation ({}, {}, {})".format(*triple)
+            continue
+        assert graph.relations == {Relation(*r) for r in reference}
+        assert graph == EntityGraph(graph.entities, graph.relations, graph.revision)
+        for eid in graph.entity_ids():
+            for kind in RELATION_KINDS:
+                for direction in ("out", "in"):
+                    assert graph.adjacent(eid, kind, direction) == _reference_adjacent(
+                        reference, eid, kind, direction)
+
+
+@pytest.mark.parametrize("relation, message", [
+    ("a->b", "relation requires 'source', 'target', 'kind'"),
+    ({"source": "a", "target": "b"}, "relation requires 'source', 'target', 'kind'"),
+    ({"source": 5, "target": "b", "kind": "conn"}, "relation endpoint 5 is not a declared entity"),
+    ({"source": "a", "target": "ghost", "kind": "conn"},
+     "relation endpoint 'ghost' is not a declared entity"),
+    ({"source": "a", "target": "b", "kind": "calls"}, "unknown relation kind 'calls'"),
+    ({"source": "a", "target": "b", "kind": ["conn"]}, "unknown relation kind ['conn']"),
+    ({"source": "a", "target": "a", "kind": "conn"}, "self-relation on 'a'"),
+    ({"source": "b", "target": "c", "kind": "layer"}, "duplicate relation (b, c, layer)"),
+])
+def test_malformed_relation_is_named_with_its_location(relation, message):
+    doc = {"schema": "env/1",
+           "entities": [{"id": eid, "type": "service"} for eid in ("a", "b", "c")],
+           "relations": [{"source": "a", "target": "b", "kind": "conn"},
+                         {"source": "b", "target": "c", "kind": "layer"}, relation]}
+    with pytest.raises(DocumentError) as err:
+        load_environment(doc)
+    assert err.value.location == "relations[2]"
+    assert str(err.value) == f"relations[2]: {message}"
+
+
+def test_loading_a_valid_document_builds_no_relation_objects(shop_env_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("Relation built during load")
+    monkeypatch.setattr(Relation, "__post_init__", refuse)
+    graph = load_environment(shop_env_path.read_text())
+    assert graph.adjacent("checkout", "conn", "out")
