@@ -68,13 +68,13 @@ class DiagnosisEntry:
     cause_id: str
     score: float  # normalized across the candidate set
     log_score: float  # raw log(prior * product), before normalization
-    explained: tuple[str, ...]
-    unexplained: tuple[str, ...]
+    explained: tuple[str, ...]  # the active symptoms it has an edge to, sorted
 
 
 @dataclass(frozen=True, slots=True)
 class Diagnosis:
     ranked: tuple[DiagnosisEntry, ...]
+    symptoms: tuple[str, ...]  # the sorted active symptom ids it scored
 
     @property
     def best(self) -> DiagnosisEntry | None:
@@ -156,28 +156,25 @@ def localize(cg: CausalityGraph, active: ActiveSymptomSet,
     qualifies the diagnosis is empty. Ties break toward the higher prior,
     then the smaller cause id.
     """
+    ordered = sorted(active.symptoms)
     candidates: set[str] = set()
     for sid in active.symptoms:
         candidates |= cg.causes_of(sid)
     if not candidates:
-        return Diagnosis(ranked=())
+        return Diagnosis(ranked=(), symptoms=tuple(ordered))
 
-    ordered = sorted(active.symptoms)
     log_leak = math.log(leak)
     entries = []
     for cid in candidates:
         explained = tuple(s for s in ordered if cg.edge(cid, s) is not None)
-        unexplained = tuple(s for s in ordered if cg.edge(cid, s) is None)
-        entries.append((cid, _log_score(cg, cid, ordered, log_leak),
-                        explained, unexplained))
+        entries.append((cid, _log_score(cg, cid, ordered, log_leak), explained))
 
     entries.sort(key=lambda e: (-e[1], -cg.causes[e[0]].prior, e[0]))
     total = _logsumexp([e[1] for e in entries])
     ranked = tuple(DiagnosisEntry(cause_id=cid, score=math.exp(ls - total),
-                                  log_score=ls, explained=explained,
-                                  unexplained=unexplained)
-                   for cid, ls, explained, unexplained in entries)
-    return Diagnosis(ranked=ranked)
+                                  log_score=ls, explained=explained)
+                   for cid, ls, explained in entries)
+    return Diagnosis(ranked=ranked, symptoms=tuple(ordered))
 
 
 def _logsumexp(values: list[float]) -> float:

@@ -8,15 +8,22 @@ no-active-root-cause answer rather than an empty search. Every
 response is computed from a single engine snapshot (one revision), whose
 number is included in the payload for staleness checks.
 
-Schema ``tool/2`` keeps payloads small, since their bytes are what a
+Schema ``tool/3`` keeps payloads small, since their bytes are what a
 calling agent pays for. ``get_blast_radius`` sends ``via``, one entry per
 transitive entity but the cause's host: ``[from_entity, rule_id]`` when the
 entity's path is its predecessor's path plus one hop, else the whole chain
 ``[e0, r1, e1, ..., e_{k-1}, r_k]``. An entry of length 2 is the
 predecessor form (one-hop paths start at the host, so both forms agree),
-and each hop's relation kind is its rule's. An entity name equal to the id
+and each hop's relation kind is its rule's. A root-cause answer sends the
+sorted active symptom ids once, as ``symptoms`` in ``get_root_causes`` and
+``active_symptoms`` in ``get_environment_health``; each ranked cause's
+``explained`` holds ascending indexes into that list, and the symptoms it
+leaves unexplained are the complement. ``best`` is a cause reference
+(``cause``, ``cause_name``, ``entity``); its score and explained symptoms
+are ``ranked[0]``'s. ``get_topology`` sends each relation as a
+``[source, target, kind]`` triple, sorted. An entity name equal to the id
 is omitted: ``name`` in ``get_topology``, ``entity_name`` in symptom and
-cause summaries.
+cause summaries; so is an empty ``metadata`` in ``get_topology``.
 
 Both team answers, ``owns_impacted`` in ``get_blast_radius`` and
 ``responsible`` in ``get_root_causes``, say whether the team owns a direct
@@ -35,7 +42,7 @@ from .errors import DocumentError, EngineError, UnknownIdError
 from .impact import impacted_entities, owner_teams
 from .topology import Entity
 
-TOOL_SCHEMA = "tool/2"
+TOOL_SCHEMA = "tool/3"
 METHODS = ("get_environment_health", "get_symptoms", "get_root_causes",
            "get_blast_radius", "check_remediation", "get_topology")
 
@@ -140,13 +147,19 @@ def _symptom_summary(snapshot: EngineSnapshot, sid: str) -> dict:
                       "entity_name", snapshot.topology.entity(inst.host_entity))
 
 
-def _cause_summary(snapshot: EngineSnapshot, entry) -> dict:
+def _cause_summary(snapshot: EngineSnapshot, entry, index: dict[str, int]) -> dict:
     inst = snapshot.causality.causes[entry.cause_id]
     return _with_name({"cause": entry.cause_id, "cause_name": inst.cause_name,
                        "entity": inst.host_entity, "score": entry.score,
-                       "explained": list(entry.explained),
-                       "unexplained": list(entry.unexplained)},
+                       "explained": [index[sid] for sid in entry.explained]},
                       "entity_name", snapshot.topology.entity(inst.host_entity))
+
+
+def _ranked(snapshot: EngineSnapshot, diagnosis) -> list[dict]:
+    """The ranked cause summaries, each cause's explained symptoms as
+    ascending indexes into ``diagnosis.symptoms``."""
+    index = {sid: i for i, sid in enumerate(diagnosis.symptoms)}
+    return [_cause_summary(snapshot, e, index) for e in diagnosis.ranked]
 
 
 def _cause_ref(snapshot: EngineSnapshot, cause_id: str) -> dict:
@@ -156,13 +169,12 @@ def _cause_ref(snapshot: EngineSnapshot, cause_id: str) -> dict:
 
 def _handle_health(snapshot: EngineSnapshot, params: dict) -> dict:
     scope = _scope_param(snapshot, params)
-    active = snapshot.active(scope)
-    root_causes = [_cause_summary(snapshot, e) for e in snapshot.diagnosis(scope).ranked]
+    diagnosis = snapshot.diagnosis(scope)
+    root_causes = _ranked(snapshot, diagnosis)
     payload = {
-        "verdict": "healthy" if not active else "degraded",
+        "verdict": "healthy" if not diagnosis.symptoms else "degraded",
         "scope": sorted(scope) if scope is not None else None,
-        "active_symptoms": [_symptom_summary(snapshot, s)
-                            for s in sorted(active.symptoms)],
+        "active_symptoms": [_symptom_summary(snapshot, s) for s in diagnosis.symptoms],
         "root_causes": root_causes,
     }
     if not root_causes:
@@ -182,15 +194,16 @@ def _handle_root_causes(snapshot: EngineSnapshot, params: dict) -> dict:
     scope = _scope_param(snapshot, params)
     team = _team_param(params)
     diagnosis = snapshot.diagnosis(scope)
+    symptoms = list(diagnosis.symptoms)
     if diagnosis.best is None:
-        payload = {"verdict": "no_active_root_cause", "best": None, "ranked": [],
-                   "message": NO_ROOT_CAUSE}
+        payload = {"verdict": "no_active_root_cause", "symptoms": symptoms,
+                   "best": None, "ranked": [], "message": NO_ROOT_CAUSE}
         if team is not None:
             payload["team"] = {"team": team, "responsible": False}
         return payload
-    payload = {"verdict": "localized",
-               "best": _cause_summary(snapshot, diagnosis.best),
-               "ranked": [_cause_summary(snapshot, e) for e in diagnosis.ranked]}
+    payload = {"verdict": "localized", "symptoms": symptoms,
+               "best": _cause_ref(snapshot, diagnosis.best.cause_id),
+               "ranked": _ranked(snapshot, diagnosis)}
     if team is not None:
         direct = impacted_entities(snapshot.causality, diagnosis.best.cause_id)
         owns = team in owner_teams(snapshot.topology, direct)
@@ -262,12 +275,13 @@ def _handle_remediation(snapshot: EngineSnapshot, params: dict) -> dict:
 def _handle_topology(snapshot: EngineSnapshot, params: dict) -> dict:
     scope = _scope_param(snapshot, params)
     graph = snapshot.topology if scope is None else snapshot.topology.scope(set(scope))
-    entities = [_with_name({"id": e.id, "type": e.entity_type, "team": e.owner_team,
-                            "metadata": dict(e.metadata)}, "name", e)
-                for e in sorted(graph.entities.values(), key=lambda e: e.id)]
-    relations = [{"source": r.source, "target": r.target, "kind": r.kind}
-                 for r in sorted(graph.relations,
-                                 key=lambda r: (r.source, r.target, r.kind))]
+    entities = []
+    for e in sorted(graph.entities.values(), key=lambda e: e.id):
+        entity = {"id": e.id, "type": e.entity_type, "team": e.owner_team}
+        if e.metadata:
+            entity["metadata"] = dict(e.metadata)
+        entities.append(_with_name(entity, "name", e))
+    relations = sorted([r.source, r.target, r.kind] for r in graph.relations)
     return {"entities": entities, "relations": relations}
 
 

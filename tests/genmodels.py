@@ -422,6 +422,65 @@ def expand_via(via: dict, transitive, cb: Codebook, host: str) -> dict[str, tupl
     return paths
 
 
+def decode_causes(ranked: list[dict], symptoms: list[str]) -> list[dict]:
+    """Client-side decoder of tool/3 ranked causes to their tool/2 form:
+    ``explained`` holds ascending indexes into ``symptoms``, the sorted
+    active symptom ids, and ``unexplained`` is the complement, in the same
+    order."""
+    decoded = []
+    for cause in ranked:
+        indexes = cause["explained"]
+        assert indexes == sorted(set(indexes)), indexes
+        assert all(0 <= i < len(symptoms) for i in indexes), indexes
+        explained = set(indexes)
+        entry = {key: cause[key] for key in ("cause", "cause_name", "entity", "score")}
+        entry["explained"] = [symptoms[i] for i in indexes]
+        entry["unexplained"] = [sid for i, sid in enumerate(symptoms) if i not in explained]
+        if "entity_name" in cause:
+            entry["entity_name"] = cause["entity_name"]
+        decoded.append(entry)
+    return decoded
+
+
+def decode_tool3(method: str, payload: dict) -> dict:
+    """Client-side decoder of a tool/3 payload back to tool/2, key order
+    included, so that the re-encoded line equals the tool/2 line.
+
+    ``get_root_causes`` drops ``symptoms`` and expands ``best`` (a cause
+    reference) to ``ranked[0]``; ``get_environment_health`` decodes its
+    causes against ``active_symptoms``; ``get_topology`` gives every entity
+    its ``metadata`` (``{}`` when absent) and spells out each
+    ``[source, target, kind]`` triple. Other payloads are unchanged."""
+    decoded = dict(payload)
+    if method == "get_root_causes":
+        symptoms = decoded.pop("symptoms")
+        assert symptoms == sorted(set(symptoms)), symptoms
+        decoded["ranked"] = decode_causes(payload["ranked"], symptoms)
+        if payload["best"] is not None:
+            best = decoded["ranked"][0]
+            assert payload["best"] == {key: best[key]
+                                       for key in ("cause", "cause_name", "entity")}
+            decoded["best"] = best
+    elif method == "get_environment_health":
+        symptoms = [s["id"] for s in payload["active_symptoms"]]
+        assert symptoms == sorted(set(symptoms)), symptoms
+        decoded["root_causes"] = decode_causes(payload["root_causes"], symptoms)
+    elif method == "get_topology":
+        entities = []
+        for entity in payload["entities"]:
+            assert entity.get("metadata", True), "an empty metadata is omitted"
+            full = {key: entity[key] for key in ("id", "type", "team")}
+            full["metadata"] = entity.get("metadata", {})
+            if "name" in entity:
+                full["name"] = entity["name"]
+            entities.append(full)
+        assert payload["relations"] == sorted(payload["relations"])
+        decoded["entities"] = entities
+        decoded["relations"] = [{"source": s, "target": t, "kind": k}
+                                for s, t, k in payload["relations"]]
+    return decoded
+
+
 # -- random attribute DAGs -----------------------------------------------------
 
 def random_attribute_dag(rng: random.Random, max_nodes: int = 12) -> AttributeGraph:

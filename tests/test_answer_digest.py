@@ -1,6 +1,9 @@
 """Answer identity: every benchmark workload's seeded frame script, replayed
 in-process through ``serve``, must give byte-identical responses, and the
-shop's causality dump must stay identical at every depth limit.
+shop's causality dump must stay identical at every depth limit. One more
+replay runs the shop script against a copy of the shop whose entities all
+have names other than their ids, since no workload entity has one and only
+such names put ``name`` and ``entity_name`` in an answer.
 
 The reference digests live in ``tests/data/answer_digests.json``. A change
 that means to alter answers regenerates them with
@@ -34,15 +37,15 @@ DIGESTS = Path(__file__).with_name("data") / "answer_digests.json"
 SEED = 61
 # Steps replayed per workload: 5,000 shop frames, 1,200 telemetry, 800 churn.
 STEPS = {ShopSession: 200, FleetTelemetry: 300, FleetChurn: 200}
+NAMED_SHOP_STEPS = 40  # 1,000 frames
 DUMP_DEPTHS = range(9)
 LINE_HASH = 8  # hex digits kept per line, to locate the first differing line
 
 
-def _replay(workload_class, steps: int) -> list[str]:
+def _replay(workload, steps: int) -> list[str]:
     """Response lines of ``steps`` steps of the seeded script, each step's
     write applied after the previous step's responses, as the benchmark's
     closed-loop client does."""
-    workload = workload_class(SEED)
     engine = workload.setup(workload.history())
 
     def frames():
@@ -72,8 +75,21 @@ def _shop_dump_lines() -> list[str]:
     return lines
 
 
-SOURCES = {cls.name: (lambda cls=cls: _replay(cls, STEPS[cls])) for cls in STEPS}
+def _named_shop_lines() -> list[str]:
+    """The shop script against the shop with every entity named other than
+    its id (its id in capitals), so that answers carry the names."""
+    workload = ShopSession(SEED)
+    env = json.loads(workload.env_text)
+    for entity in env["entities"]:
+        entity["name"] = entity["id"].upper()
+        assert entity["name"] != entity["id"]
+    workload.env_text = json.dumps(env)
+    return _replay(workload, NAMED_SHOP_STEPS)
+
+
+SOURCES = {cls.name: (lambda cls=cls: _replay(cls(SEED), STEPS[cls])) for cls in STEPS}
 SOURCES["shop-dump"] = _shop_dump_lines
+SOURCES["shop-named"] = _named_shop_lines
 
 
 def _line_hash(line: str) -> str:

@@ -144,8 +144,10 @@ def test_localize_prefers_cause_explaining_both_symptoms():
     assert [e.cause_id for e in diagnosis.ranked] == ["r1@h", "r2@h"]
     assert math.exp(diagnosis.ranked[0].log_score) == pytest.approx(0.81, rel=1e-9)
     assert math.exp(diagnosis.ranked[1].log_score) == pytest.approx(0.0008, rel=1e-9)
+    assert diagnosis.symptoms == ("s1@h", "s2@h")
     assert diagnosis.ranked[0].explained == ("s1@h", "s2@h")
-    assert diagnosis.ranked[1].unexplained == ("s2@h",)
+    # the symptoms a cause leaves unexplained are the complement
+    assert [s for s in diagnosis.symptoms if s not in diagnosis.ranked[1].explained] == ["s2@h"]
 
 
 def test_localize_scenario_fault_points_at_payment_defect(shop_engine):
@@ -187,7 +189,9 @@ def test_localize_unexplained_symptoms_yield_no_candidates():
                                           activation=ActivationSpec(kind="event"))
     assert localize(cg, ActiveSymptomSet(frozenset({"s3@h"}))).ranked == ()
     both = localize(cg, ActiveSymptomSet(frozenset({"s1@h", "s3@h"})))
-    assert [(e.cause_id, e.unexplained) for e in both.ranked] == [("r1@h", ("s3@h",))]
+    assert both.symptoms == ("s1@h", "s3@h")
+    assert [(e.cause_id, [s for s in both.symptoms if s not in e.explained])
+            for e in both.ranked] == [("r1@h", ["s3@h"])]
 
 
 def test_orphan_symptom_answer_equal_on_demand_and_eager(shop_engine, monkeypatch):

@@ -5,16 +5,20 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cie.impact
 from cie import data
-from cie.engine import Engine
+from cie.causality import DEFAULT_MAX_DEPTH, instantiate
+from cie.engine import Engine, EngineSnapshot
 from cie.harness import background_observations, inject_fault, load_scenario
-from cie.inference import attribute_sample
+from cie.inference import DEFAULT_LEAK, ActiveSymptomSet, attribute_sample, localize
 from cie.service import MAX_FRAME_CHARS, METHODS, handle, serve
 from cie.topology import Entity, EntityGraph, Relation
 
-from genmodels import expand_via, reference_paths
+from genmodels import (decode_tool3, expand_via, random_active_set, random_codebook,
+                       random_topology, reference_paths)
 
 
 @pytest.fixture()
@@ -57,12 +61,18 @@ def test_health_on_fault_state(fault_engine):
 def test_root_causes_ranked_first_is_payment_defect(fault_engine):
     payload = call(fault_engine, "get_root_causes").payload
     assert payload["verdict"] == "localized"
-    assert payload["best"]["cause_name"] == "code_defect_transaction_rejection"
-    assert payload["best"]["entity"] == "payment"
-    assert 0.9 < payload["best"]["score"] <= 1.0
+    assert payload["best"] == {"cause": "code_defect_transaction_rejection@payment",
+                               "cause_name": "code_defect_transaction_rejection",
+                               "entity": "payment"}
     ranked = payload["ranked"]
-    assert ranked[0] == payload["best"]
+    assert {key: ranked[0][key] for key in payload["best"]} == payload["best"]
+    assert 0.9 < ranked[0]["score"] <= 1.0
     assert all(a["score"] >= b["score"] for a, b in zip(ranked, ranked[1:]))
+    # explained symptoms are ascending indexes into the sorted active ids
+    symptoms = payload["symptoms"]
+    assert symptoms == sorted(fault_engine.snapshot().active().symptoms)
+    assert [symptoms[i] for i in ranked[0]["explained"]] == symptoms
+    assert "unexplained" not in ranked[0]
 
 
 def test_root_causes_team_projection(fault_engine):
@@ -138,6 +148,61 @@ def test_names_equal_to_ids_are_omitted(chain_codebook, chain_topology):
         ("A", "Alpha"), ("B", None), ("C", None)}
 
 
+def _relabelled(rng: random.Random, graph: EntityGraph) -> EntityGraph:
+    """``graph`` with each entity's name, team and metadata drawn at random;
+    a name may equal the id and a metadata may be empty."""
+    labelled = EntityGraph()
+    for eid in sorted(graph.entity_ids()):
+        labelled = labelled.add_entity(Entity(
+            id=eid, name=rng.choice((eid, f"{eid} named")),
+            entity_type=graph.entity(eid).entity_type,
+            owner_team=rng.choice(("a", "b", None)),
+            metadata=rng.choice(({}, {"zone": rng.choice("xy")}, {"k": "v", "a": "b"}))))
+    for rel in graph.relations:
+        labelled = labelled.add_relation(rel)
+    return labelled
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_tool3_answers_decode_to_the_model(seed):
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    graph = _relabelled(rng, random_topology(rng, cb))
+    cg = instantiate(graph, cb)
+    active = random_active_set(rng, cg)
+    snapshot = EngineSnapshot(graph, cb, cg, active.symptoms, None, DEFAULT_LEAK,
+                              DEFAULT_MAX_DEPTH, as_of=1)
+    ids = sorted(graph.entity_ids())
+    scope = rng.sample(ids, rng.randint(1, len(ids))) if rng.random() < 0.5 else None
+    params = {} if scope is None else {"scope": scope}
+    kept = set(ids if scope is None else scope)
+
+    def decoded(method):
+        response = handle({"id": 1, "method": method, "params": params}, snapshot)
+        assert response.status == "ok", response.error
+        return decode_tool3(method, json.loads(json.dumps(response.to_dict()))["payload"])
+
+    in_scope = {sid for sid in active.symptoms if cg.symptoms[sid].host_entity in kept}
+    diagnosis = localize(cg, ActiveSymptomSet(frozenset(in_scope)), leak=DEFAULT_LEAK)
+    expected = [(e.cause_id, e.score, list(e.explained), sorted(in_scope - set(e.explained)))
+                for e in diagnosis.ranked]
+    causes = decoded("get_root_causes")
+    assert [(c["cause"], c["score"], c["explained"], c["unexplained"])
+            for c in causes["ranked"]] == expected
+    assert causes["best"] == (causes["ranked"][0] if expected else None)
+    health = decoded("get_environment_health")
+    assert health["root_causes"] == causes["ranked"]
+    assert [s["id"] for s in health["active_symptoms"]] == sorted(in_scope)
+
+    topology = decoded("get_topology")
+    assert {Relation(**r) for r in topology["relations"]} == {
+        r for r in graph.relations if r.source in kept and r.target in kept}
+    assert [Entity(id=e["id"], name=e.get("name", e["id"]), entity_type=e["type"],
+                   owner_team=e["team"], metadata=e["metadata"])
+            for e in topology["entities"]] == [graph.entity(eid) for eid in sorted(kept)]
+
+
 def test_blast_radius_healthy_reports_no_impact(healthy_engine):
     payload = call(healthy_engine, "get_blast_radius").payload
     assert payload["cause"] is None
@@ -171,8 +236,7 @@ def test_check_remediation_healthy_has_nothing_to_align(healthy_engine):
 def test_get_topology_scoped(fault_engine):
     payload = call(fault_engine, "get_topology", {"scope": ["checkout", "payment"]}).payload
     assert [e["id"] for e in payload["entities"]] == ["checkout", "payment"]
-    assert payload["relations"] == [
-        {"source": "checkout", "target": "payment", "kind": "conn"}]
+    assert payload["relations"] == [["checkout", "payment", "conn"]]
 
 
 def test_unknown_method_error_code(healthy_engine):
@@ -241,7 +305,7 @@ def test_serve_empty_input_writes_banner_only(healthy_engine):
     count, banner, responses = run_serve(healthy_engine, "")
     assert count == 0
     assert responses == []
-    assert banner["hello"]["schema"] == "tool/2"
+    assert banner["hello"]["schema"] == "tool/3"
     assert set(banner["hello"]["methods"]) == set(METHODS)
 
 
