@@ -13,8 +13,8 @@ from . import data as bundled
 from .causality import dump_graph
 from .engine import Engine
 from .errors import EngineError
-from .harness import (build_engine, footprint_metrics, format_rubric_table,
-                      load_scenario, metrics_to_jsonl, rubric_report_dict, run_scenario)
+from .harness import (footprint_metrics, format_rubric_table, load_scenario,
+                      metrics_to_jsonl, rubric_report_dict, run_scenario)
 from .service import METHODS, handle, serve
 
 
@@ -74,7 +74,7 @@ def scenario_run(scenario_ref, seed, fmt, metrics_out):
     try:
         spec_path = _resolve_scenario(scenario_ref)
         sc = load_scenario(spec_path)
-        result = run_scenario(sc, engine=build_engine(sc), seed=seed)
+        result = run_scenario(sc, seed=seed)
         if metrics_out:
             Path(metrics_out).write_text(metrics_to_jsonl(footprint_metrics(result, seed)))
     except (EngineError, FileNotFoundError, OSError) as exc:

@@ -1,18 +1,16 @@
 """Engine state: current topology, codebook, folded observations, warm snapshots.
 
 The engine is the single writer; queries run against immutable snapshots.
-Observations are validated once and folded into state when they are
-ingested: the latest sample per (entity, attribute), the asserted symptom
-events and the highest tick. No raw log is kept, so a query never replays
-one. A snapshot binds one topology revision, the causality graph built from
-it and the active symptom set at bind time, so a response can never mix
-state from two revisions. The engine hands out the same snapshot until the
-topology revision or the observation sequence moves; the causality graph
-is replaced only when the revision moves. It compiles each cause's edge
-block the first time a query reads it and keeps it for the revision, so
-snapshots sharing the graph share that work; the memo adds only fully
-built values, and a snapshot's answers never change.
-"""
+Ingested observations are folded into one ``inference.ObservationState``;
+no raw log is kept, so a query never replays one. A snapshot binds one
+topology revision, the causality graph built from it and the active symptom
+set at bind time, so a response can never mix state from two revisions.
+The engine hands out the same snapshot until the topology revision or the
+observation sequence moves; the causality graph is replaced only when the
+revision moves. It compiles each cause's edge block the first time a query
+reads it and keeps it for the revision, so snapshots sharing the graph
+share that work; the memo adds only fully built values, and a snapshot's
+answers never change."""
 
 from __future__ import annotations
 
@@ -22,11 +20,11 @@ from pathlib import Path
 
 from . import causality, impact, inference
 from .attributes import AttributeGraph, load_attribute_graph
-from .causality import CausalityGraph, instance_id, instantiate, refresh
+from .causality import CausalityGraph, instantiate, refresh
 from .errors import DocumentError, EngineError
-from .inference import (ActiveSymptomSet, Diagnosis, Observation, localize,
-                        parse_observations)
-from .knowledge_base import Codebook, SymptomDef, load_codebook
+from .inference import (ActiveSymptomSet, Diagnosis, Observation, ObservationState,
+                        localize, parse_observations, threshold_index)
+from .knowledge_base import Codebook, load_codebook
 from .topology import Entity, EntityGraph, Relation, _parse_document, load_environment
 
 
@@ -123,30 +121,11 @@ class Engine:
         self._leak = leak
         self._max_depth = max_depth
         self._causality = instantiate(topology, codebook, max_depth=max_depth)
-        # Threshold symptoms by the (entity type, attribute) they read, so a
-        # sample re-evaluates only the symptoms it can move.
-        self._thresholds: dict[tuple[str, str], tuple[SymptomDef, ...]] = {}
-        for sdef in codebook.symptoms:
-            if sdef.activation.kind == "threshold":
-                key = (sdef.applies_to, sdef.activation.attribute)
-                self._thresholds[key] = self._thresholds.get(key, ()) + (sdef,)
+        self._thresholds = threshold_index(
+            (sdef.applies_to, sdef.symptom_name, sdef.activation) for sdef in codebook.symptoms)
         self._sequence = 0  # bumped by every ingest and clear, never reset
         self._snapshot: EngineSnapshot | None = None
-        self._reset_observations()
-
-    def _reset_observations(self):
-        # Observation keys are (entity, attribute, symptom), as on Observation.
-        # The first observation per key, in arrival order: re-validating these
-        # raises the error a replay of the whole log would raise first.
-        self._first: dict[tuple, Observation] = {}
-        # Latest sample per sample key; the later tick wins, a tie goes to
-        # the later arrival.
-        self._latest: dict[tuple, tuple[int, float]] = {}
-        self._as_of = 0
-        self._dirty: set[tuple] = set()  # keys touched since the last bind
-        self._active: set[str] = set()
-        self._active_revision: int | None = None  # None forces a full re-evaluation
-        self._error: tuple[type[EngineError], str] | None = None
+        self._observations = ObservationState(self._thresholds)
 
     @classmethod
     def from_documents(cls, env_document, codebook_document, **kwargs) -> Engine:
@@ -189,10 +168,11 @@ class Engine:
                     and snap.sequence == self._sequence):
                 return snap
             cg = self._current_causality()
-            self._bind(cg)
+            state = self._observations
+            state.bind(cg)
             self._snapshot = EngineSnapshot(
-                self._topology, self._codebook, cg, self._active, self._attributes,
-                self._leak, self._max_depth, as_of=self._as_of, error=self._error,
+                self._topology, self._codebook, cg, state.active, self._attributes,
+                self._leak, self._max_depth, as_of=state.as_of, error=state.error,
                 sequence=self._sequence)
             return self._snapshot
 
@@ -202,69 +182,15 @@ class Engine:
                                       self._codebook, max_depth=self._max_depth)
         return self._causality
 
-    def _bind(self, cg: CausalityGraph):
-        """Bring the active symptom set in line with the folded state and ``cg``."""
-        if self._active_revision == cg.topology_revision:
-            keys = self._dirty
-        else:
-            # The topology moved: every stored key is checked again, in
-            # first-arrival order, and evaluated from scratch.
-            self._error = None
-            for obs in self._first.values():
-                try:
-                    inference.validate_observation(cg, obs)
-                except EngineError as exc:
-                    self._error = (type(exc), str(exc))
-                    break
-            self._active = set()
-            self._active_revision = cg.topology_revision
-            keys = self._first if self._error is None else ()
-        active, first = self._active, self._first
-        for key in keys:
-            target, attribute, symptom = key
-            if symptom is not None:
-                active.add(instance_id(symptom, target))
-                continue
-            value = self._latest[key][1]
-            for sdef in self._thresholds.get((cg.entity_types[target], attribute), ()):
-                sid = instance_id(sdef.symptom_name, target)
-                if (sdef.activation.holds(value)
-                        or (target, None, sdef.symptom_name) in first):
-                    active.add(sid)
-                else:
-                    active.discard(sid)
-        self._dirty = set()
-
     def ingest(self, observations: list[Observation]):
         """Validate every observation, then fold them all, or none."""
         with self._lock:
-            cg = self._current_causality()
-            for obs in observations:
-                inference.validate_observation(cg, obs)
-            first, latest, dirty = self._first, self._latest, self._dirty
-            if not first:
-                # An empty store agrees with every revision: the keys about to
-                # be stored were all validated against this one.
-                self._active_revision = cg.topology_revision
-            as_of = self._as_of
-            for obs in observations:
-                tick = obs.tick
-                key = (obs.target, obs.attribute, obs.symptom)
-                if key not in first:
-                    first[key] = obs
-                dirty.add(key)
-                if tick > as_of:
-                    as_of = tick
-                if key[1] is not None:
-                    prev = latest.get(key)
-                    if prev is None or tick >= prev[0]:
-                        latest[key] = (tick, obs.value)
-            self._as_of = as_of
+            self._observations.fold(self._current_causality(), observations)
             self._sequence += 1
 
     def clear_observations(self):
         with self._lock:
-            self._reset_observations()
+            self._observations = ObservationState(self._thresholds)
             self._sequence += 1
 
     # -- topology mutations (serialized) -------------------------------------

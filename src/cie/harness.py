@@ -21,6 +21,7 @@ from .engine import Engine
 from .errors import DocumentError
 from .inference import Observation, observation_from_dict
 from .service import METHODS, handle
+from .topology import _parse_document
 
 SCENARIO_SCHEMA = "scenario/1"
 USE_CASES = ("health_assessment", "impact_analysis", "root_cause", "remediation")
@@ -50,9 +51,9 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario file; unmapped queries fail here, loudly."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"malformed scenario: {exc}", location=str(path)) from None
+        doc = _parse_document(path.read_text(), "scenario")
+    except DocumentError as exc:
+        raise DocumentError(str(exc), location=str(path)) from None
     if doc.get("schema") != SCENARIO_SCHEMA:
         raise DocumentError(f"expected schema {SCENARIO_SCHEMA!r}, got {doc.get('schema')!r}",
                             location="schema")
@@ -61,8 +62,10 @@ def load_scenario(path) -> Scenario:
         raise DocumentError(f"mode must be 'healthy' or 'active_fault', got {mode!r}",
                             location="mode")
     fault = doc.get("fault")
-    if mode == "active_fault" and not fault:
-        raise DocumentError("active_fault mode requires a 'fault' block", location="fault")
+    if mode == "active_fault" and not (isinstance(fault, dict)
+                                       and isinstance(fault.get("cause"), str)):
+        raise DocumentError("active_fault mode requires a 'fault' object with a 'cause' "
+                            "string", location="fault")
     if mode == "healthy" and fault:
         raise DocumentError("healthy mode forbids a 'fault' block", location="fault")
 
@@ -78,9 +81,10 @@ def load_scenario(path) -> Scenario:
         loc = f"queries[{i}]"
         if not isinstance(raw, dict):
             raise DocumentError("query must be an object", location=loc)
-        for key in ("id", "use_case", "request", "expect"):
-            if key not in raw:
-                raise DocumentError(f"query missing {key!r}", location=loc)
+        for key, kind in (("id", str), ("use_case", str), ("request", dict), ("expect", dict)):
+            if not isinstance(raw.get(key), kind):
+                raise DocumentError(f"query {key!r} is missing or not "
+                                    f"{'a string' if kind is str else 'an object'}", location=loc)
         if raw["id"] in seen_ids:
             raise DocumentError(f"duplicate query id {raw['id']!r}", location=loc)
         seen_ids.add(raw["id"])
@@ -135,13 +139,10 @@ def background_observations(scenario: Scenario, seed: int = 0) -> list[Observati
     return _resolve_script(scenario.background, random.Random(seed))
 
 
-def inject_fault(scenario: Scenario, causality_graph=None, seed: int = 0) -> list[Observation]:
+def inject_fault(scenario: Scenario, seed: int = 0) -> list[Observation]:
     """Materialize the fault's observation stream, deterministic per seed."""
     if scenario.mode != "active_fault":
         raise DocumentError("inject_fault requires an active_fault scenario")
-    if causality_graph is not None and scenario.fault_cause not in causality_graph.causes:
-        raise DocumentError(
-            f"fault cause {scenario.fault_cause!r} absent from causality graph")
     return _resolve_script(scenario.fault_observations, random.Random(seed))
 
 
@@ -266,11 +267,16 @@ def run_scenario(scenario: Scenario, engine: Engine | None = None,
 
     Each scripted query is issued as a single tool call against a fresh
     snapshot; rubric rules judge the payload. The engine defaults to one
-    built from the scenario's own environment and codebook (an ablated
-    engine may be passed in instead; the rubric will say what broke).
+    built from the scenario's own environment and codebook, whose model must
+    hold the fault's cause (an ablated engine may be passed in instead; the
+    rubric will say what broke).
     """
     if engine is None:
         engine = build_engine(scenario)
+        if (scenario.mode == "active_fault"
+                and scenario.fault_cause not in engine.snapshot().causality.causes):
+            raise DocumentError(f"cause {scenario.fault_cause!r} absent from causality graph",
+                                location="fault")
     engine.clear_observations()
     engine.ingest(background_observations(scenario, seed=seed))
     if scenario.mode == "active_fault":

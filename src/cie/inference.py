@@ -1,11 +1,14 @@
 """Observations, symptom activation and abductive root-cause localization.
 
 Symptom activation turns observations (attribute samples and asserted
-symptom events) into the active symptom set. Localization ranks candidate
-causes, the causes with an edge to at least one active symptom, by prior
-times the independence product of per-symptom conditionals. A small leak
-probability stands in for active symptoms a candidate has no edge to, so
-one unexplained symptom dampens rather than zeroes a score; the leak never
+symptom events) into the active symptom set, in one place: an
+``ObservationState`` folds validated batches, and binding it to a causality
+graph updates its active set. ``Engine`` holds one; ``activate_symptoms``
+folds a stream into a fresh one. Localization ranks candidate causes, the
+causes with an edge to at least one active symptom, by prior times the
+independence product of per-symptom conditionals. A small leak probability
+stands in for active symptoms a candidate has no edge to, so one
+unexplained symptom dampens rather than zeroes a score; the leak never
 makes a cause a candidate, so symptoms no cause explains yield an empty
 diagnosis. Accumulation happens in log space; reported scores are
 normalized across the candidate set.
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .causality import CausalityGraph, instance_id
-from .errors import DocumentError, UnknownIdError
+from .errors import DocumentError, EngineError, UnknownIdError
 from .knowledge_base import is_finite_number
 
 DEFAULT_LEAK = 1e-3
@@ -35,6 +38,8 @@ class Observation:
     symptom: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.tick, bool) or not isinstance(self.tick, int):
+            raise DocumentError("'tick' must be an integer")
         is_sample = self.attribute is not None
         is_event = self.symptom is not None
         if is_sample == is_event:
@@ -81,18 +86,98 @@ class Diagnosis:
         return self.ranked[0] if self.ranked else None
 
 
-def validate_observation(cg: CausalityGraph, obs: Observation):
-    etype = cg.entity_types.get(obs.target)
+def validate_key(cg: CausalityGraph, key: tuple):
+    """Raise unless an observation keyed (entity, attribute, symptom) fits ``cg``."""
+    target, attribute, symptom = key
+    etype = cg.entity_types.get(target)
     if etype is None:
-        raise UnknownIdError(f"observation targets unknown entity {obs.target!r}")
-    if obs.attribute is not None:
-        if obs.attribute not in cg.attribute_decls.get(etype, ()):
-            raise DocumentError(
-                f"attribute {obs.attribute!r} not declared for type {etype!r}")
-    else:
-        if instance_id(obs.symptom, obs.target) not in cg.symptoms:
-            raise DocumentError(
-                f"symptom {obs.symptom!r} is not instantiated on {obs.target!r}")
+        raise UnknownIdError(f"observation targets unknown entity {target!r}")
+    if attribute is not None and attribute not in cg.attribute_decls.get(etype, ()):
+        raise DocumentError(f"attribute {attribute!r} not declared for type {etype!r}")
+    if attribute is None and instance_id(symptom, target) not in cg.symptoms:
+        raise DocumentError(f"symptom {symptom!r} is not instantiated on {target!r}")
+
+
+def threshold_index(symptoms) -> dict[tuple[str, str], tuple]:
+    """(name, activation) of the threshold symptoms by the (entity type,
+    attribute) they read, from (entity type, name, activation) triples."""
+    index: dict[tuple[str, str], dict] = {}
+    for etype, name, activation in symptoms:
+        if activation.kind == "threshold":
+            index.setdefault((etype, activation.attribute), {})[name] = activation
+    return {key: tuple(pairs.items()) for key, pairs in index.items()}
+
+
+class ObservationState:
+    """Observations folded into state, and the active symptom set they imply.
+
+    ``latest`` maps each key (entity, attribute, symptom), in first-arrival
+    order, to a sample's latest (tick, value), a tie going to the later
+    arrival, or to None for an event. ``active`` and ``error``, the (class,
+    message) of the first key that fails validation, hold as of ``bind``."""
+
+    def __init__(self, thresholds: dict[tuple[str, str], tuple]):
+        self.latest: dict[tuple, tuple[int, float] | None] = {}
+        self.as_of = 0
+        self.active: set[str] = set()
+        self.error: tuple[type[EngineError], str] | None = None
+        self._thresholds = thresholds
+        self._dirty: set[tuple] = set()  # keys folded since the last bind
+        self._revision: int | None = None  # None forces a full re-evaluation
+
+    def fold(self, cg: CausalityGraph, observations: list[Observation]):
+        """Validate every observation against ``cg``, then fold them all, or none."""
+        for obs in observations:
+            validate_key(cg, (obs.target, obs.attribute, obs.symptom))
+        latest, dirty = self.latest, self._dirty
+        if not latest:
+            # An empty store agrees with every revision: the keys about to
+            # be stored were all validated against this one.
+            self._revision = cg.topology_revision
+        as_of = self.as_of
+        for obs in observations:
+            tick = obs.tick
+            key = (obs.target, obs.attribute, obs.symptom)
+            dirty.add(key)
+            if tick > as_of:
+                as_of = tick
+            if key[1] is None:
+                latest[key] = None
+            elif (prev := latest.get(key)) is None or tick >= prev[0]:
+                latest[key] = (tick, obs.value)
+        self.as_of = as_of
+
+    def bind(self, cg: CausalityGraph):
+        """Bring ``active`` and ``error`` in line with the folded state and ``cg``."""
+        latest = self.latest
+        if self._revision == cg.topology_revision:
+            keys = self._dirty
+        else:
+            # The topology moved: check every key in arrival order, then re-evaluate.
+            self.error = None
+            for key in latest:
+                try:
+                    validate_key(cg, key)
+                except EngineError as exc:
+                    self.error = (type(exc), str(exc))
+                    break
+            self.active = set()
+            self._revision = cg.topology_revision
+            keys = latest if self.error is None else ()
+        active = self.active
+        for key in keys:
+            target, attribute, symptom = key
+            if symptom is not None:
+                active.add(instance_id(symptom, target))
+                continue
+            value = latest[key][1]
+            for name, activation in self._thresholds.get((cg.entity_types[target], attribute), ()):
+                sid = instance_id(name, target)
+                if activation.holds(value) or (target, None, name) in latest:
+                    active.add(sid)
+                else:
+                    active.discard(sid)
+        self._dirty = set()
 
 
 def activate_symptoms(cg: CausalityGraph, observations: list[Observation],
@@ -102,33 +187,17 @@ def activate_symptoms(cg: CausalityGraph, observations: list[Observation],
     An instance is active iff a symptom event names it, or its threshold
     predicate holds on the most recent attribute sample for its host.
     """
-    latest: dict[tuple[str, str], tuple[int, float]] = {}
-    events: set[tuple[str, str]] = set()
-    as_of = 0
-    for obs in observations:
-        validate_observation(cg, obs)
-        as_of = max(as_of, obs.tick)
-        if obs.attribute is not None:
-            key = (obs.target, obs.attribute)
-            prev = latest.get(key)
-            if prev is None or obs.tick >= prev[0]:
-                latest[key] = (obs.tick, obs.value)
-        else:
-            events.add((obs.target, obs.symptom))
-
-    active: set[str] = set()
-    for sid, inst in cg.symptoms.items():
-        if scope is not None and inst.host_entity not in scope:
-            continue
-        if (inst.host_entity, inst.symptom_name) in events:
-            active.add(sid)
-            continue
-        act = inst.activation
-        if act.kind == "threshold":
-            sample = latest.get((inst.host_entity, act.attribute))
-            if sample is not None and act.holds(sample[1]):
-                active.add(sid)
-    return ActiveSymptomSet(symptoms=frozenset(active), as_of=as_of)
+    symptoms = cg.symptoms
+    state = ObservationState(threshold_index(
+        (cg.entity_types[s.host_entity], s.symptom_name, s.activation)
+        for s in symptoms.values()))
+    state.fold(cg, observations)
+    state.bind(cg)
+    # A hand-built graph may lack an instance that the per-type index implies.
+    return ActiveSymptomSet(
+        symptoms=frozenset(sid for sid in state.active if sid in symptoms and (
+            scope is None or symptoms[sid].host_entity in scope)),
+        as_of=state.as_of)
 
 
 def log_score(cg: CausalityGraph, cause_id: str, active: ActiveSymptomSet,
@@ -203,8 +272,6 @@ def parse_observations(text: str) -> list[Observation]:
 def observation_from_dict(raw: dict, location: str | None = None) -> Observation:
     if not isinstance(raw, dict) or "entity" not in raw or "tick" not in raw:
         raise DocumentError("observation requires 'entity' and 'tick'", location=location)
-    if not isinstance(raw["tick"], int) or isinstance(raw["tick"], bool):
-        raise DocumentError("'tick' must be an integer", location=location)
     if not isinstance(raw["entity"], str):
         raise DocumentError("'entity' must be a string", location=location)
     for key in ("attribute", "symptom"):

@@ -9,7 +9,7 @@ from cie.attributes import (AttributeDependency, AttributeGraph, AttributeNode,
                             DependencyFunction)
 from cie.causality import (DEFAULT_MAX_DEPTH, CausalEdge, CausalityGraph, RootCauseInstance,
                            SymptomInstance, instance_id, rule_closure)
-from cie.inference import ActiveSymptomSet
+from cie.inference import ActiveSymptomSet, Observation, validate_key
 from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
                                 PropagationRule, RootCauseDef, SymptomDef)
 from cie.topology import RELATION_KINDS, Entity, EntityGraph, Relation
@@ -253,6 +253,42 @@ def brute_force_ranking(cg: CausalityGraph, active: ActiveSymptomSet,
         scored.append((cid, product))
     scored.sort(key=lambda item: (-item[1], -cg.causes[item[0]].prior, item[0]))
     return scored
+
+
+def replay_activation(cg: CausalityGraph, observations: list[Observation],
+                      scope: set[str] | None = None) -> ActiveSymptomSet:
+    """Raw-stream reference for symptom activation: replay every observation
+    in order, then test each symptom instance. An instance is active iff a
+    symptom event names it, or its threshold predicate holds on the most
+    recent attribute sample for its host (a tick tie goes to the later one).
+    Raises the error of the first observation that does not validate."""
+    latest: dict[tuple[str, str], tuple[int, float]] = {}
+    events: set[tuple[str, str]] = set()
+    as_of = 0
+    for obs in observations:
+        validate_key(cg, (obs.target, obs.attribute, obs.symptom))
+        as_of = max(as_of, obs.tick)
+        if obs.attribute is not None:
+            key = (obs.target, obs.attribute)
+            prev = latest.get(key)
+            if prev is None or obs.tick >= prev[0]:
+                latest[key] = (obs.tick, obs.value)
+        else:
+            events.add((obs.target, obs.symptom))
+
+    active: set[str] = set()
+    for sid, inst in cg.symptoms.items():
+        if scope is not None and inst.host_entity not in scope:
+            continue
+        if (inst.host_entity, inst.symptom_name) in events:
+            active.add(sid)
+            continue
+        act = inst.activation
+        if act.kind == "threshold":
+            sample = latest.get((inst.host_entity, act.attribute))
+            if sample is not None and act.holds(sample[1]):
+                active.add(sid)
+    return ActiveSymptomSet(symptoms=frozenset(active), as_of=as_of)
 
 
 # -- oracles over topology/codebook instantiation -----------------------------

@@ -69,6 +69,28 @@ def test_scenario_run_failing_rubric_exits_nonzero(runner, tmp_path):
     assert "FAIL" in result.output
 
 
+def test_scenario_run_malformed_file_exits_cleanly(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    result = runner.invoke(main, ["scenario", "run", "--scenario", str(bad)])
+    assert result.exit_code == 1
+    assert "scenario document must be a JSON object" in result.output
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+
+
+def test_scenario_run_unknown_fault_cause_exits_nonzero(runner, tmp_path):
+    doc = json.loads(data.scenario_path("active-fault").read_text())
+    doc["fault"]["cause"] = "no_such_cause@nowhere"
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    for name in ("astronomy_shop_env.json", "astronomy_shop_codebook.json"):
+        (tmp_path / name).write_text(data.path(name).read_text())
+    result = runner.invoke(main, ["scenario", "run", "--scenario", str(broken)])
+    assert result.exit_code == 1
+    assert "fault: cause 'no_such_cause@nowhere' absent" in result.output
+    assert "PASS" not in result.output
+
+
 def test_scenario_unknown_builtin(runner):
     result = runner.invoke(main, ["scenario", "run", "--scenario", "builtin:nope"])
     assert result.exit_code != 0

@@ -59,26 +59,53 @@ def test_unmapped_query_fails_loudly_at_load(tmp_path):
         load_scenario(bad)
 
 
+def _set_query_field(key, value):
+    def edit(doc):
+        doc["queries"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, location", [
+    (lambda doc: [doc], None),
+    (_set_query_field("request", 5), "queries[0]"),
+    (_set_query_field("expect", ["verdict"]), "queries[0]"),
+    (_set_query_field("id", ["a"]), "queries[0]"),
+    (lambda doc: {**doc, "fault": "x"}, "fault"),
+    (lambda doc: {**doc, "fault": {"observations": []}}, "fault"),
+    (lambda doc: {**doc, "fault": {"cause": ["x"], "observations": []}}, "fault"),
+], ids=["top-level-array", "request-not-object", "expect-not-object", "id-not-string",
+        "fault-not-object", "fault-without-cause", "cause-not-string"])
+def test_malformed_scenario_is_a_located_document_error(tmp_path, edit, location):
+    doc = json.loads(data.scenario_path("active-fault").read_text())
+    doc = edit(doc) or doc
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DocumentError) as info:
+        load_scenario(bad)
+    assert info.value.location == (location or str(bad))
+
+
 def test_inject_fault_healthy_mode_is_an_error(healthy_scenario):
     with pytest.raises(DocumentError, match="active_fault"):
         inject_fault(healthy_scenario)
 
 
-def test_inject_fault_unknown_cause_is_an_error(fault_scenario, shop_engine):
-    cg = shop_engine.snapshot().causality
-    stripped = {cid: inst for cid, inst in cg.causes.items()
-                if cid != fault_scenario.fault_cause}
-    hollow = type(cg)(stripped, cg.symptoms, {}, cg.topology_revision,
-                      cg.entity_types, cg.attribute_decls)
+def test_run_scenario_rejects_fault_cause_absent_from_model(tmp_path):
+    doc = json.loads(data.scenario_path("active-fault").read_text())
+    doc["fault"]["cause"] = "no_such_cause@nowhere"
+    doc["environment"] = str(data.path("astronomy_shop_env.json"))
+    doc["codebook"] = str(data.path("astronomy_shop_codebook.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
     with pytest.raises(DocumentError, match="absent"):
-        inject_fault(fault_scenario, hollow)
+        run_scenario(load_scenario(bad))
 
 
 def test_fault_stream_activates_expected_hosts(fault_scenario, shop_engine):
     from cie.inference import activate_symptoms
 
     cg = shop_engine.snapshot().causality
-    obs = background_observations(fault_scenario) + inject_fault(fault_scenario, cg)
+    obs = background_observations(fault_scenario) + inject_fault(fault_scenario)
     active = activate_symptoms(cg, obs)
     hosts = {cg.symptoms[s].host_entity for s in active.symptoms}
     assert hosts == {"payment", "checkout", "accounting", "shipping"}

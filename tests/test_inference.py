@@ -20,7 +20,7 @@ from cie.knowledge_base import ActivationSpec
 from cie.service import handle
 
 from genmodels import (brute_force_ranking, eager_causality, random_active_set,
-                       random_inference_graph)
+                       random_inference_graph, replay_activation)
 
 LEAK = 1e-3
 
@@ -78,6 +78,17 @@ def test_scope_excludes_out_of_scope_symptoms(shop_engine):
     cg = shop_engine.snapshot().causality
     obs = [attribute_sample("frontend", 1, "error_rate", 0.35)]
     assert activate_symptoms(cg, obs, scope={"payment"}).symptoms == frozenset()
+
+
+def test_activation_names_only_the_instances_a_hand_built_graph_holds():
+    spike = ActivationSpec(kind="threshold", attribute="x", comparator=">", threshold=0.5)
+    cg = CausalityGraph({}, {"s@h1": SymptomInstance(id="s@h1", symptom_name="s",
+                                                     host_entity="h1", activation=spike)},
+                        {}, topology_revision=0, entity_types={"h1": "svc", "h2": "svc"},
+                        attribute_decls={"svc": ("x",)})
+    obs = [attribute_sample("h1", 1, "x", 0.9), attribute_sample("h2", 1, "x", 0.9)]
+    assert activate_symptoms(cg, obs) == replay_activation(cg, obs)
+    assert activate_symptoms(cg, obs).symptoms == {"s@h1"}
 
 
 def test_observation_validation(shop_engine):
@@ -156,7 +167,7 @@ def test_localize_scenario_fault_points_at_payment_defect(shop_engine):
 
     scenario = load_scenario(data.scenario_path("active-fault"))
     cg = shop_engine.snapshot().causality
-    obs = background_observations(scenario) + inject_fault(scenario, cg)
+    obs = background_observations(scenario) + inject_fault(scenario)
     active = activate_symptoms(cg, obs)
     hosts = {cg.symptoms[s].host_entity for s in active.symptoms}
     assert hosts == {"payment", "checkout", "accounting", "shipping"}
@@ -383,6 +394,8 @@ def test_observation_stream_parse_error_located():
      "'value' must be a finite number"),
     ({"entity": "payment", "attribute": "transaction_reject_rate", "value": True},
      "'value' must be a finite number"),
+    *[({"entity": "checkout", "tick": tick, "attribute": "error_rate", "value": 0.9},
+       "'tick' must be an integer") for tick in (2.5, 2.0, "2", None, True, [2])],
 ])
 def test_observation_fields_validated(fields, message):
     with pytest.raises(DocumentError, match=message):

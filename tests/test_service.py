@@ -13,7 +13,9 @@ from cie import data
 from cie.causality import DEFAULT_MAX_DEPTH, instantiate
 from cie.engine import Engine, EngineSnapshot
 from cie.harness import background_observations, inject_fault, load_scenario
-from cie.inference import DEFAULT_LEAK, ActiveSymptomSet, attribute_sample, localize
+from cie.errors import DocumentError
+from cie.inference import (DEFAULT_LEAK, ActiveSymptomSet, Observation, attribute_sample,
+                           localize)
 from cie.service import MAX_FRAME_CHARS, METHODS, handle, serve
 from cie.topology import Entity, EntityGraph, Relation
 
@@ -34,7 +36,7 @@ def fault_engine(shop_env_path, shop_codebook_path):
     engine = Engine.from_files(shop_env_path, shop_codebook_path)
     scenario = load_scenario(data.scenario_path("active-fault"))
     engine.ingest(background_observations(scenario))
-    engine.ingest(inject_fault(scenario, engine.snapshot().causality))
+    engine.ingest(inject_fault(scenario))
     return engine
 
 
@@ -370,6 +372,21 @@ def test_serve_malformed_frame_keeps_stream_alive(healthy_engine):
         assert response["id"] is None and response["status"] == "error"
         assert response["error"]["code"] == "parse_error"
     assert responses[3]["id"] == 2 and responses[3]["status"] == "ok"
+
+
+def test_batch_with_non_integer_tick_is_refused_whole_and_serve_keeps_answering(
+        fault_engine):
+    before = fault_engine.snapshot()
+    with pytest.raises(DocumentError, match="'tick' must be an integer"):
+        fault_engine.ingest([attribute_sample("payment", 9, "error_rate", 0.001),
+                             Observation("checkout", "x", attribute="error_rate", value=0.9)])
+    fault_engine.ingest([])  # a half-folded batch would make this bind raise
+    after = fault_engine.snapshot()
+    assert after.active() == before.active()
+    lines = "".join(json.dumps({"id": i, "method": method}) + "\n" for i, method in
+                    enumerate(("get_topology", "get_root_causes", "get_environment_health")))
+    count, _, responses = run_serve(fault_engine, lines)
+    assert count == 3 and [r["status"] for r in responses] == ["ok"] * 3
 
 
 def test_serve_mutation_between_requests_single_revision_each(fault_engine):

@@ -2,7 +2,7 @@
 by replacing functions at the names their callers bind. If a refactor moves
 or renames one of those names, tracing silently stops timing that layer.
 These tests pin every name it wraps, and check that the serving path still
-reaches the layers through them."""
+reaches the layers through them, and never through ``activate_symptoms``."""
 
 from __future__ import annotations
 
@@ -59,6 +59,7 @@ def test_serving_path_calls_through_the_wrapped_names(monkeypatch):
 
     for module, name in ((cie.engine, "load_codebook"), (cie.engine, "instantiate"),
                          (cie.engine, "refresh"), (cie.engine, "localize"),
+                         (cie.inference, "activate_symptoms"),
                          (cie.impact, "blast_radius"), (cie.service, "handle")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(cie.service, "json", types.SimpleNamespace(
@@ -69,10 +70,14 @@ def test_serving_path_calls_through_the_wrapped_names(monkeypatch):
                                data.path("astronomy_shop_codebook.json"))
     engine.ingest([attribute_sample("payment", 1, "transaction_reject_rate", 0.95)])
     engine.add_entity(Entity(id="svc-x", name="svc-x", entity_type="web-service"))
-    frames = [{"id": 1, "method": "get_root_causes"}, {"id": 2, "method": "get_blast_radius"}]
+    frames = [{"id": method, "method": method} for method in cie.service.METHODS]
+    frames.append({"id": 0, "method": "get_symptoms", "params": {"scope": ["payment"]}})
     out = io.StringIO()
     cie.service.serve(engine, io.StringIO("".join(json.dumps(f) + "\n" for f in frames)),
                       out)
     for name in ("load_codebook", "instantiate", "refresh", "localize", "blast_radius",
                  "handle", "loads"):
         assert name in calls, name
+    # The engine folds observations itself and must not replay them through
+    # the stream wrapper, whose span would then time every query.
+    assert "activate_symptoms" not in calls
