@@ -1,11 +1,13 @@
 """Causal intelligence engine for modeled microservice environments.
 
-Maintains four linked structures (topology graph, codebook, causality
-graph, attribute dependency graph) and answers health, impact, root-cause,
-and remediation queries through a line-oriented tool service
-(``cie.service``). Health and "no root cause" have one meaning, the
-service's: an environment with no active symptom is healthy, and active
-symptoms that no modelled cause explains are degraded with no root cause.
+Maintains three linked structures (topology graph, codebook, causality
+graph) and answers health, impact, root-cause, and remediation queries
+through a line-oriented tool service (``cie.service``). The environment's
+attribute dependency section is checked at load but not kept;
+``cie.attributes`` is its library form. Health and "no root cause" have
+one meaning, the service's: an environment with no active symptom is
+healthy, and active symptoms that no modelled cause explains are degraded
+with no root cause.
 """
 
 from .attributes import AttributeGraph, load_attribute_graph

@@ -169,12 +169,6 @@ class CausalityGraph:
         except KeyError:
             raise UnknownIdError(f"unknown root cause instance {cause_id!r}") from None
 
-    def symptom(self, symptom_id: str) -> SymptomInstance:
-        try:
-            return self.symptoms[symptom_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown symptom instance {symptom_id!r}") from None
-
     def effects(self, cause_id: str) -> set[str]:
         """Symptom instance ids with an edge from ``cause_id``."""
         self.cause(cause_id)

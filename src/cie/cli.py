@@ -24,7 +24,10 @@ def _engine_from_options(env, codebook, observations=None, leak=None, max_depth=
         kwargs["leak"] = leak
     if max_depth is not None:
         kwargs["max_depth"] = max_depth
-    return Engine.from_files(env, codebook, observations_path=observations, **kwargs)
+    try:
+        return Engine.from_files(env, codebook, observations_path=observations, **kwargs)
+    except EngineError as exc:
+        raise click.ClickException(str(exc))
 
 
 def _resolve_scenario(ref: str) -> Path:
@@ -49,10 +52,7 @@ def main():
               help="Propagation depth limit.")
 def serve_cmd(env, codebook, observations, leak, max_depth):
     """Serve the tool protocol on stdin/stdout (one JSON object per line)."""
-    try:
-        engine = _engine_from_options(env, codebook, observations, leak, max_depth)
-    except EngineError as exc:
-        raise click.ClickException(str(exc))
+    engine = _engine_from_options(env, codebook, observations, leak, max_depth)
     serve(engine, sys.stdin, sys.stdout)
 
 
@@ -103,10 +103,7 @@ def query(env, codebook, observations, method, params, fmt, leak, max_depth):
         parsed = json.loads(params)
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"--params is not valid JSON: {exc}")
-    try:
-        engine = _engine_from_options(env, codebook, observations, leak, max_depth)
-    except EngineError as exc:
-        raise click.ClickException(str(exc))
+    engine = _engine_from_options(env, codebook, observations, leak, max_depth)
     response = handle({"id": "cli", "method": method, "params": parsed},
                       engine.snapshot())
     wire = response.to_dict()
@@ -149,10 +146,7 @@ def graph():
 @click.option("--max-depth", type=int, default=None)
 def graph_dump(env, codebook, max_depth):
     """Dump the instantiated causality graph (causes, symptoms, edges) as JSON."""
-    try:
-        engine = _engine_from_options(env, codebook, max_depth=max_depth)
-    except EngineError as exc:
-        raise click.ClickException(str(exc))
+    engine = _engine_from_options(env, codebook, max_depth=max_depth)
     click.echo(json.dumps(dump_graph(engine.snapshot().causality), indent=2))
 
 

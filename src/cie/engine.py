@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import causality, impact, inference
-from .attributes import AttributeGraph, load_attribute_graph
+from .attributes import load_attribute_graph
 from .causality import CausalityGraph, instantiate, refresh
 from .errors import DocumentError, EngineError
 from .inference import (ActiveSymptomSet, Diagnosis, Observation, ObservationState,
@@ -31,23 +31,22 @@ from .topology import Entity, EntityGraph, Relation, _parse_document, load_envir
 class EngineSnapshot:
     """Immutable view of the engine at one revision; unscoped results cached.
 
-    ``error`` is the (exception class, message) of the earliest stored
-    observation that no longer validates against this revision; every
-    query that reads observations raises it. The class and message are
-    kept rather than the exception, whose traceback would pin old frames.
+    ``error``, the fifth positional parameter, is the (exception class,
+    message) of the earliest stored observation that no longer validates
+    against this revision, or None; every query that reads observations
+    raises it. The class and message are kept rather than the exception,
+    whose traceback would pin old frames.
     """
 
     def __init__(self, topology: EntityGraph, codebook: Codebook,
                  causality_graph: CausalityGraph,
                  active_symptoms: Iterable[str],
-                 attribute_graph: AttributeGraph | None,
+                 error: tuple[type[EngineError], str] | None,
                  leak: float, max_depth: int, *, as_of: int = 0,
-                 error: tuple[type[EngineError], str] | None = None,
                  sequence: int = 0):
         self.topology = topology
         self.codebook = codebook
         self.causality = causality_graph
-        self.attributes = attribute_graph
         self.leak = leak
         self.max_depth = max_depth
         self.sequence = sequence
@@ -80,8 +79,8 @@ class EngineSnapshot:
             self._diagnosis = localize(self.causality, self.active(), leak=self.leak)
         return self._diagnosis
 
-    def best_cause(self, scope: frozenset[str] | None = None) -> str | None:
-        best = self.diagnosis(scope).best
+    def best_cause(self) -> str | None:
+        best = self.diagnosis().best
         return best.cause_id if best else None
 
     def blast_radius(self, cause_id: str) -> impact.BlastRadius:
@@ -110,14 +109,12 @@ class Engine:
     """Single-writer holder of the live model plus the folded observations."""
 
     def __init__(self, topology: EntityGraph, codebook: Codebook,
-                 attribute_graph: AttributeGraph | None = None,
                  leak: float = inference.DEFAULT_LEAK,
                  max_depth: int = causality.DEFAULT_MAX_DEPTH):
         _check_parameters(leak, max_depth)
         self._lock = threading.Lock()
         self._topology = topology
         self._codebook = codebook
-        self._attributes = attribute_graph
         self._leak = leak
         self._max_depth = max_depth
         self._causality = instantiate(topology, codebook, max_depth=max_depth)
@@ -129,12 +126,12 @@ class Engine:
 
     @classmethod
     def from_documents(cls, env_document, codebook_document, **kwargs) -> Engine:
-        """The environment document is parsed once; both its loaders read the dict."""
+        """The environment is parsed once; its attribute section is checked, not kept."""
         cb = load_codebook(codebook_document)
         env = _parse_document(env_document, "environment")
         graph = load_environment(env, codebook=cb)
-        ag = load_attribute_graph(env, graph, cb)
-        return cls(graph, cb, attribute_graph=ag, **kwargs)
+        load_attribute_graph(env, graph, cb)
+        return cls(graph, cb, **kwargs)
 
     @classmethod
     def from_files(cls, env_path, codebook_path, observations_path=None, **kwargs) -> Engine:
@@ -171,9 +168,8 @@ class Engine:
             state = self._observations
             state.bind(cg)
             self._snapshot = EngineSnapshot(
-                self._topology, self._codebook, cg, state.active, self._attributes,
-                self._leak, self._max_depth, as_of=state.as_of, error=state.error,
-                sequence=self._sequence)
+                self._topology, self._codebook, cg, state.active, state.error,
+                self._leak, self._max_depth, as_of=state.as_of, sequence=self._sequence)
             return self._snapshot
 
     def _current_causality(self) -> CausalityGraph:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .engine import Engine
 from .errors import DocumentError
 from .inference import Observation, observation_from_dict
+from .knowledge_base import is_finite_number
 from .service import METHODS, handle
 from .topology import _parse_document
 
@@ -96,6 +97,7 @@ def load_scenario(path) -> Scenario:
         if method not in METHODS:
             raise DocumentError(f"query {raw['id']} requests unknown method {method!r}",
                                 location=loc)
+        _check_expect(raw, mode, loc)
         queries.append(ScenarioQuery(query_id=raw["id"], use_case=raw["use_case"],
                                      request=raw["request"], expect=raw["expect"]))
 
@@ -112,8 +114,24 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def build_engine(scenario: Scenario, **kwargs) -> Engine:
-    return Engine.from_files(scenario.environment_path, scenario.codebook_path, **kwargs)
+def _check_expect(raw: dict, mode: str, loc: str):
+    """Raise DocumentError unless the expect fields its rubric rule reads
+    have the shapes that rule needs."""
+    expect = raw["expect"]
+    for key in ("impacted", "teams"):
+        if key in expect and not (isinstance(expect[key], list)
+                                  and all(isinstance(e, str) for e in expect[key])):
+            raise DocumentError(f"expect {key!r} must be a list of entity or team names",
+                                location=loc)
+    if "aligned" in expect and not isinstance(expect["aligned"], dict):
+        raise DocumentError("expect 'aligned' must be an object from target to verdict",
+                            location=loc)
+    if (raw["use_case"] == "root_cause" and mode == "active_fault"
+            and not expect.get("no_root_cause")):
+        for key in ("cause_name", "entity"):
+            if not isinstance(expect.get(key), str):
+                raise DocumentError(f"root-cause expect requires a {key!r} string",
+                                    location=loc)
 
 
 def _resolve_script(entries: list[dict], rng: random.Random) -> list[Observation]:
@@ -130,6 +148,9 @@ def _resolve_script(entries: list[dict], rng: random.Random) -> list[Observation
             if "mean" not in value:
                 raise DocumentError("jittered value requires 'mean'", location=loc)
             jitter = value.get("jitter", 0.0)
+            if not (is_finite_number(value["mean"]) and is_finite_number(jitter)):
+                raise DocumentError("jittered 'mean' and 'jitter' must be finite numbers",
+                                    location=loc)
             record["value"] = value["mean"] + rng.uniform(-jitter, jitter)
         observations.append(observation_from_dict(record, location=loc))
     return observations
@@ -197,8 +218,9 @@ def _check_health(mode: str, payload: dict, expect: dict) -> tuple[bool, str]:
         if payload.get("root_causes"):
             return False, "healthy verdict but non-empty root cause list"
         return True, "reports no active incidents"
-    if verdict != expect.get("verdict", "degraded"):
-        return False, f"expected verdict {expect.get('verdict')!r}, got {verdict!r}"
+    want = expect.get("verdict", "degraded")
+    if verdict != want:
+        return False, f"expected verdict {want!r}, got {verdict!r}"
     return True, "identifies an active incident"
 
 
@@ -272,7 +294,7 @@ def run_scenario(scenario: Scenario, engine: Engine | None = None,
     rubric will say what broke).
     """
     if engine is None:
-        engine = build_engine(scenario)
+        engine = Engine.from_files(scenario.environment_path, scenario.codebook_path)
         if (scenario.mode == "active_fault"
                 and scenario.fault_cause not in engine.snapshot().causality.causes):
             raise DocumentError(f"cause {scenario.fault_cause!r} absent from causality graph",
@@ -313,19 +335,13 @@ def footprint_metrics(result: RubricResult, seed: int = 0) -> dict:
         "mode": result.mode,
         "seed": seed,
         "token_proxy": "response payload bytes",
-        "queries": [trace_to_dict(t) for t in result.traces],
+        "queries": [asdict(t) for t in result.traces],
         "totals": {
             "tool_calls": sum(t.tool_calls for t in result.traces),
             "payload_bytes": sum(t.payload_bytes for t in result.traces),
             "wall_ms": sum(t.wall_ms for t in result.traces),
         },
     }
-
-
-def trace_to_dict(trace: QueryTrace) -> dict:
-    return {"query_id": trace.query_id, "method": trace.method,
-            "tool_calls": trace.tool_calls, "payload_bytes": trace.payload_bytes,
-            "wall_ms": trace.wall_ms}
 
 
 def metrics_to_jsonl(metrics: dict) -> str:

@@ -65,15 +65,13 @@ def owner_teams(topology: EntityGraph, entity_ids) -> frozenset[str]:
 
 
 def blast_radius(topology: EntityGraph, cg: CausalityGraph, cb: Codebook,
-                 cause_id: str, max_depth: int | None = None) -> BlastRadius:
+                 cause_id: str, max_depth: int = DEFAULT_MAX_DEPTH) -> BlastRadius:
     """Transitive impact of a cause after rule propagation over the topology.
 
     Each effect symptom re-expands with a fresh depth budget, so the radius
     is the rule-closure fixpoint of the compiled effects (states settle at
     their minimal hop count; ``via`` records the first, fewest-hop chain).
     """
-    if max_depth is None:
-        max_depth = DEFAULT_MAX_DEPTH
     host = cg.cause(cause_id).host_entity
     direct = frozenset(impacted_entities(cg, cause_id))
 

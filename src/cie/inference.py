@@ -64,9 +64,6 @@ class ActiveSymptomSet:
     symptoms: frozenset[str]
     as_of: int = 0
 
-    def __bool__(self) -> bool:
-        return bool(self.symptoms)
-
 
 @dataclass(frozen=True, slots=True)
 class DiagnosisEntry:

@@ -193,12 +193,6 @@ class Codebook:
         except KeyError:
             raise DocumentError(f"unknown type {type_name!r}") from None
 
-    def symptom(self, symptom_name: str) -> SymptomDef:
-        try:
-            return self._symptoms_by_name[symptom_name]
-        except KeyError:
-            raise DocumentError(f"unknown symptom {symptom_name!r}") from None
-
     def cause(self, cause_name: str) -> RootCauseDef:
         try:
             return self._causes_by_name[cause_name]

@@ -263,7 +263,6 @@ def _handle_remediation(snapshot: EngineSnapshot, params: dict) -> dict:
                 "verdicts": [{"target": t, "aligned": None,
                               "rationale": f"{NO_ROOT_CAUSE}; nothing to align against"}
                              for t in targets]}
-    snapshot.causality.cause(cause_id)
     verdicts = []
     for target in targets:
         verdict = snapshot.remediation(cause_id, target)

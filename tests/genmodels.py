@@ -319,6 +319,7 @@ def enumerate_best_paths(graph: EntityGraph, cb: Codebook, start_symptom: str,
     state never loses the maximum.
     """
     entity_types = {eid: e.entity_type for eid, e in graph.entities.items()}
+    applies_to = {s.symptom_name: s.applies_to for s in cb.symptoms}
     best: dict[tuple[str, str], float] = {}
 
     def visit(sym: str, ent: str, prob: float, seen: frozenset):
@@ -327,7 +328,7 @@ def enumerate_best_paths(graph: EntityGraph, cb: Codebook, start_symptom: str,
             best[state] = prob
         for rule, nbr in one_hop(graph, cb, sym, ent):
             nxt = (rule.to_symptom, nbr)
-            if (entity_types[nbr] == cb.symptom(rule.to_symptom).applies_to
+            if (entity_types[nbr] == applies_to[rule.to_symptom]
                     and nxt not in seen):
                 visit(rule.to_symptom, nbr, prob * rule.attenuation, seen | {nxt})
 
@@ -353,6 +354,7 @@ def brute_force_edges(graph: EntityGraph, cb: Codebook) -> dict[tuple[str, str],
 def blast_fixpoint(graph: EntityGraph, cb: Codebook, cg, cause_id: str) -> set[str]:
     """Iterative one-hop rule expansion of a cause's effects until fixpoint."""
     entity_types = cg.entity_types
+    applies_to = {s.symptom_name: s.applies_to for s in cb.symptoms}
     states = set()
     for sid in cg.effects(cause_id):
         inst = cg.symptoms[sid]
@@ -363,7 +365,7 @@ def blast_fixpoint(graph: EntityGraph, cb: Codebook, cg, cause_id: str) -> set[s
         for sym, ent in list(states):
             for rule, nbr in one_hop(graph, cb, sym, ent):
                 state = (rule.to_symptom, nbr)
-                if (entity_types.get(nbr) == cb.symptom(rule.to_symptom).applies_to
+                if (entity_types.get(nbr) == applies_to[rule.to_symptom]
                         and state not in states):
                     states.add(state)
                     changed = True

@@ -7,7 +7,7 @@ import pytest
 from cie import data
 from cie.engine import Engine
 from cie.errors import DocumentError
-from cie.harness import (background_observations, build_engine, footprint_metrics,
+from cie.harness import (_RUBRIC, background_observations, footprint_metrics,
                          format_rubric_table, inject_fault, load_scenario,
                          metrics_to_jsonl, rubric_report_dict, run_scenario)
 from cie.inference import render_observations
@@ -65,6 +65,22 @@ def _set_query_field(key, value):
     return edit
 
 
+def _set_expect(index, key, value):
+    def edit(doc):
+        expect = doc["queries"][index]["expect"]
+        if value is None:
+            del expect[key]
+        else:
+            expect[key] = value
+    return edit
+
+
+def _set_jitter(key, value):
+    def edit(doc):
+        doc["fault"]["observations"][1]["value"][key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, location", [
     (lambda doc: [doc], None),
     (_set_query_field("request", 5), "queries[0]"),
@@ -73,15 +89,30 @@ def _set_query_field(key, value):
     (lambda doc: {**doc, "fault": "x"}, "fault"),
     (lambda doc: {**doc, "fault": {"observations": []}}, "fault"),
     (lambda doc: {**doc, "fault": {"cause": ["x"], "observations": []}}, "fault"),
+    (_set_expect(2, "cause_name", None), "queries[2]"),
+    (_set_expect(2, "entity", None), "queries[2]"),
+    (_set_expect(4, "aligned", ["payment-pod-0"]), "queries[4]"),
+    (_set_expect(5, "teams", "team-payments"), "queries[5]"),
+    (_set_expect(5, "teams", [["team-payments"]]), "queries[5]"),
+    (_set_expect(1, "impacted", 5), "queries[1]"),
+    (_set_jitter("mean", "0.97"), "observations[1]"),
+    (_set_jitter("mean", None), "observations[1]"),
+    (_set_jitter("jitter", [0.005]), "observations[1]"),
+    (_set_jitter("jitter", True), "observations[1]"),
 ], ids=["top-level-array", "request-not-object", "expect-not-object", "id-not-string",
-        "fault-not-object", "fault-without-cause", "cause-not-string"])
+        "fault-not-object", "fault-without-cause", "cause-not-string",
+        "root-cause-without-cause-name", "root-cause-without-entity", "aligned-list",
+        "teams-string", "teams-nested", "impacted-number", "jitter-mean-string",
+        "jitter-mean-null", "jitter-list", "jitter-bool"])
 def test_malformed_scenario_is_a_located_document_error(tmp_path, edit, location):
     doc = json.loads(data.scenario_path("active-fault").read_text())
     doc = edit(doc) or doc
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     with pytest.raises(DocumentError) as info:
-        load_scenario(bad)
+        scenario = load_scenario(bad)
+        background_observations(scenario)
+        inject_fault(scenario)
     assert info.value.location == (location or str(bad))
 
 
@@ -207,6 +238,64 @@ def test_rubric_report_formats(fault_scenario):
     assert "Q5" in table
 
 
-def test_build_engine_uses_scenario_files(fault_scenario):
-    engine = build_engine(fault_scenario)
-    assert "payment" in engine.topology.entity_ids()
+
+_REF = {"cause": "x@payment", "cause_name": "x", "entity": "payment"}
+
+
+@pytest.mark.parametrize("mode, use_case, payload, expect, reason", [
+    ("healthy", "health_assessment", {"verdict": "degraded"}, {},
+     "hallucinated incident: verdict 'degraded'"),
+    ("healthy", "health_assessment", {"verdict": "healthy", "root_causes": [_REF]}, {},
+     "healthy verdict but non-empty root cause list"),
+    ("active_fault", "health_assessment", {"verdict": "healthy"}, {},
+     "expected verdict 'degraded', got 'healthy'"),
+    ("healthy", "impact_analysis", {"cause": None, "transitive": ["payment"]}, {},
+     "impacted services reported on a healthy environment: ['payment']"),
+    ("healthy", "impact_analysis", {"cause": _REF, "transitive": []}, {},
+     "impacted services reported on a healthy environment: []"),
+    ("active_fault", "impact_analysis", {"transitive": ["payment"]},
+     {"impacted": ["payment", "checkout"]}, "missing downstream entities: ['checkout']"),
+    ("active_fault", "impact_analysis", {"transitive": ["payment", "cart"]},
+     {"impacted": ["payment"]}, "false positives: ['cart']"),
+    ("active_fault", "impact_analysis", {"transitive": ["payment"], "teams": ["a"]},
+     {"impacted": ["payment"], "teams": ["b"]}, "expected teams ['b'], got ['a']"),
+    ("active_fault", "impact_analysis",
+     {"transitive": ["payment"], "teams": ["a", "b"], "multi_team": False},
+     {"impacted": ["payment"], "teams": ["a", "b"], "multi_team": True},
+     "multi-team involvement flag wrong"),
+    ("healthy", "root_cause", {"verdict": "localized"}, {},
+     "expected explicit negative, got 'localized'"),
+    ("active_fault", "root_cause", {"verdict": "localized"}, {"no_root_cause": True},
+     "expected explicit negative, got 'localized'"),
+    ("active_fault", "root_cause", {"best": None}, {"cause_name": "x", "entity": "payment"},
+     "expected cause 'x', got None"),
+    ("active_fault", "root_cause", {"best": _REF}, {"cause_name": "y", "entity": "payment"},
+     "expected cause 'y', got 'x'"),
+    ("active_fault", "root_cause", {"best": _REF}, {"cause_name": "x", "entity": "cart"},
+     "expected entity 'cart', got 'payment'"),
+    ("active_fault", "root_cause", {"best": _REF, "team": {"responsible": False}},
+     {"cause_name": "x", "entity": "payment", "team_responsible": True},
+     "expected team_responsible=True"),
+    ("active_fault", "remediation", {"verdicts": [{"target": "cart", "aligned": True}]},
+     {"aligned": {"payment": True}}, "no verdict for target 'payment'"),
+    ("active_fault", "remediation", {"verdicts": [{"target": "payment", "aligned": False}]},
+     {"aligned": {"payment": True}}, "target 'payment': expected aligned=True, got False"),
+])
+def test_rubric_rule_fails_a_wrong_answer_with_its_reason(mode, use_case, payload, expect,
+                                                          reason):
+    passed, got = _RUBRIC[use_case](mode, payload, expect)
+    assert passed is False
+    assert got == reason
+
+
+def test_tool_error_fails_the_query_with_the_error(tmp_path):
+    doc = json.loads(data.scenario_path("healthy").read_text())
+    doc["queries"][0]["request"]["params"] = {"scope": ["ghost"]}
+    doc["environment"] = str(data.path("astronomy_shop_env.json"))
+    doc["codebook"] = str(data.path("astronomy_shop_codebook.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    first = run_scenario(load_scenario(bad)).per_query[0]
+    assert first.passed is False
+    assert first.reason == ("tool error: {'code': 'unknown_id', "
+                            "'message': \"unknown entities in scope: ['ghost']\"}")

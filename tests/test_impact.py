@@ -230,6 +230,7 @@ def test_blast_paths_follow_existing_relations_from_host(seed, max_depth):
     graph = random_topology(rng, cb)
     cg = instantiate(graph, cb, max_depth=max_depth)
     rules = {r.rule_id: r for r in cb.rules}
+    applies_to = {s.symptom_name: s.applies_to for s in cb.symptoms}
     for cid in sorted(cg.causes):
         host = cg.causes[cid].host_entity
         local = {name for name, _ in cb.cause(cg.causes[cid].cause_name).local_symptoms}
@@ -251,7 +252,7 @@ def test_blast_paths_follow_existing_relations_from_host(seed, max_depth):
                 if rule.traversal == "reverse":
                     ends = ends[::-1]
                 assert Relation(*ends, hop.kind) in graph.relations
-                assert cg.entity_types[hop.to_entity] == cb.symptom(rule.to_symptom).applies_to
+                assert cg.entity_types[hop.to_entity] == applies_to[rule.to_symptom]
 
 
 @settings(max_examples=100, deadline=None)

@@ -263,6 +263,23 @@ def test_unknown_id_error_code(healthy_engine):
     assert response.error["code"] == "unknown_id"
 
 
+@pytest.mark.parametrize("method, params", [
+    ("get_blast_radius", {"cause": 5}),
+    ("check_remediation", {"action_target": "payment", "cause": ["x@payment"]}),
+])
+def test_non_string_cause_is_invalid_params(fault_engine, method, params):
+    response = call(fault_engine, method, params)
+    assert response.error == {"code": "invalid_params",
+                              "message": "'cause' must be a root cause instance id"}
+
+
+def test_check_remediation_unknown_cause_is_unknown_id(fault_engine):
+    response = call(fault_engine, "check_remediation",
+                    {"action_targets": ["payment", "checkout"], "cause": "phantom@x"})
+    assert response.error == {"code": "unknown_id",
+                              "message": "unknown root cause instance 'phantom@x'"}
+
+
 def test_request_id_round_trips(healthy_engine):
     response = call(healthy_engine, "get_symptoms", request_id=1234)
     assert response.to_dict()["id"] == 1234

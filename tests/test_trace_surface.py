@@ -2,13 +2,17 @@
 by replacing functions at the names their callers bind. If a refactor moves
 or renames one of those names, tracing silently stops timing that layer.
 These tests pin every name it wraps, and check that the serving path still
-reaches the layers through them, and never through ``activate_symptoms``."""
+reaches the layers through them, and never through ``activate_symptoms``.
+They also run ``perfbench/scale.py``, whose calls into the engine the
+benchmark fixes."""
 
 from __future__ import annotations
 
 import io
 import json
+import sys
 import types
+from pathlib import Path
 
 import cie.engine
 import cie.impact
@@ -18,6 +22,10 @@ from cie import data
 from cie.engine import Engine
 from cie.inference import attribute_sample
 from cie.topology import Entity
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import scale  # noqa: E402
 
 WRAPPED_FUNCTIONS = {
     cie.engine: ("load_environment", "load_codebook", "load_attribute_graph",
@@ -57,7 +65,8 @@ def test_serving_path_calls_through_the_wrapped_names(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((cie.engine, "load_codebook"), (cie.engine, "instantiate"),
+    for module, name in ((cie.engine, "load_environment"), (cie.engine, "load_codebook"),
+                         (cie.engine, "load_attribute_graph"), (cie.engine, "instantiate"),
                          (cie.engine, "refresh"), (cie.engine, "localize"),
                          (cie.inference, "activate_symptoms"),
                          (cie.impact, "blast_radius"), (cie.service, "handle")):
@@ -75,9 +84,23 @@ def test_serving_path_calls_through_the_wrapped_names(monkeypatch):
     out = io.StringIO()
     cie.service.serve(engine, io.StringIO("".join(json.dumps(f) + "\n" for f in frames)),
                       out)
-    for name in ("load_codebook", "instantiate", "refresh", "localize", "blast_radius",
-                 "handle", "loads"):
+    for name in ("load_environment", "load_codebook", "load_attribute_graph", "instantiate",
+                 "refresh", "localize", "blast_radius", "handle", "loads"):
         assert name in calls, name
+    assert calls.count("load_environment") == calls.count("load_attribute_graph") == 1
     # The engine folds observations itself and must not replay them through
     # the stream wrapper, whose span would then time every query.
     assert "activate_symptoms" not in calls
+
+
+def test_scale_report_measures_through_its_frozen_calls():
+    # ``measure`` builds an EngineSnapshot positionally; its topology answer
+    # must equal the one a snapshot of a real engine gives.
+    row = scale.measure(300)
+    graph, cb = scale.scale_model(300)
+    response = cie.service.handle({"id": 1, "method": "get_topology"},
+                                  Engine(graph, cb).snapshot())
+    assert response.status == "ok"
+    assert row["entities"] == 300
+    assert row["get_topology_bytes"] == len(json.dumps(response.to_dict()))
+    assert row["causality_edges"] > 0
