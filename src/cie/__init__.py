@@ -15,9 +15,8 @@ from .causality import CausalityGraph, instantiate, refresh
 from .engine import Engine, EngineSnapshot
 from .errors import (CycleError, DocumentError, DuplicateIdError, EngineError,
                      UnknownIdError)
-from .inference import (ActiveSymptomSet, Diagnosis, Observation, activate_symptoms,
-                        localize, log_score)
-from .knowledge_base import Codebook, load_codebook, render_codebook
+from .inference import ActiveSymptomSet, Diagnosis, Observation, activate_symptoms, localize
+from .knowledge_base import Codebook, load_codebook
 from .topology import Entity, EntityGraph, Relation, load_environment
 
 __version__ = "0.1.0"
@@ -28,5 +27,5 @@ __all__ = [
     "EngineError", "EngineSnapshot", "Entity", "EntityGraph", "Observation",
     "Relation", "UnknownIdError", "activate_symptoms", "instantiate",
     "load_attribute_graph", "load_codebook", "load_environment", "localize",
-    "log_score", "refresh", "render_codebook",
+    "refresh",
 ]

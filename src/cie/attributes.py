@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CycleError, DocumentError, UnknownIdError
-from .knowledge_base import is_finite_number
+from .knowledge_base import COMPARATORS, is_finite_number
 from .topology import _parse_document
 
 CHANGE_TOLERANCE = 1e-12
@@ -232,12 +232,10 @@ class AttributeGraph:
         for attr_id, comparator, bound in constraints:
             if attr_id not in self.nodes:
                 raise UnknownIdError(f"unknown attribute {attr_id!r}")
-            actual = values[attr_id]
-            ok = {"<": actual < bound, "<=": actual <= bound,
-                  ">": actual > bound, ">=": actual >= bound}.get(comparator)
-            if ok is None:
+            if not isinstance(comparator, str) or comparator not in COMPARATORS:
                 raise DocumentError(f"unknown comparator {comparator!r}")
-            if not ok:
+            actual = values[attr_id]
+            if not COMPARATORS[comparator](actual, bound):
                 violations.append(Violation(attr_id, comparator, bound, actual))
         return violations
 
@@ -255,44 +253,42 @@ def load_attribute_graph(document, graph, cb) -> AttributeGraph:
             raise DocumentError(f"{key!r} must be an array", location=key)
     ag = AttributeGraph()
     for i, raw in enumerate(doc.get("attributes", [])):
-        loc = f"attributes[{i}]"
-        if not isinstance(raw, dict) or "entity" not in raw or "attribute" not in raw:
-            raise DocumentError("attribute requires 'entity' and 'attribute'", location=loc)
-        eid, name = raw["entity"], raw["attribute"]
-        if not isinstance(eid, str) or eid not in graph:
-            raise DocumentError(f"unknown entity {eid!r}", location=loc)
-        decls = cb.type_def(graph.entity(eid).entity_type).attribute_decls
-        if name not in decls:
-            raise DocumentError(
-                f"attribute {name!r} not declared on type "
-                f"{graph.entity(eid).entity_type!r}", location=loc)
-        for key in ("value", "baseline"):
-            if raw.get(key) is not None and not is_finite_number(raw[key]):
-                raise DocumentError(f"{key!r} must be a finite number or null", location=loc)
-        ag.add_node(AttributeNode(id=attribute_id(eid, name), host_entity=eid,
-                                  attribute_name=name, value=raw.get("value"),
-                                  baseline=raw.get("baseline"), unit=raw.get("unit", "")))
+        try:
+            if not isinstance(raw, dict) or "entity" not in raw or "attribute" not in raw:
+                raise DocumentError("attribute requires 'entity' and 'attribute'")
+            eid, name = raw["entity"], raw["attribute"]
+            if not isinstance(eid, str) or eid not in graph:
+                raise DocumentError(f"unknown entity {eid!r}")
+            etype = graph.entity(eid).entity_type
+            if name not in cb.type_def(etype).attribute_decls:
+                raise DocumentError(f"attribute {name!r} not declared on type {etype!r}")
+            for key in ("value", "baseline"):
+                if raw.get(key) is not None and not is_finite_number(raw[key]):
+                    raise DocumentError(f"{key!r} must be a finite number or null")
+            ag.add_node(AttributeNode(id=attribute_id(eid, name), host_entity=eid,
+                                      attribute_name=name, value=raw.get("value"),
+                                      baseline=raw.get("baseline"), unit=raw.get("unit", "")))
+        except DocumentError as exc:
+            raise DocumentError(str(exc), location=f"attributes[{i}]") from None
 
     for i, raw in enumerate(doc.get("attribute_dependencies", [])):
-        loc = f"attribute_dependencies[{i}]"
-        if not isinstance(raw, dict) or not {"from", "to", "function"} <= set(raw):
-            raise DocumentError("dependency requires 'from', 'to', 'function'", location=loc)
-        if not (isinstance(raw["from"], str) and isinstance(raw["to"], str)):
-            raise DocumentError("'from' and 'to' must be attribute ids", location=loc)
-        fn_raw = raw["function"]
-        if not isinstance(fn_raw, dict) or "form" not in fn_raw:
-            raise DocumentError("function requires 'form'", location=loc)
-        points = fn_raw.get("points", [])
-        if not (isinstance(points, list) and all(
-                isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))
-                for p in points)):
-            raise DocumentError("'points' must be a list of [x, y] pairs of finite numbers",
-                                location=loc)
         try:
+            if not isinstance(raw, dict) or not {"from", "to", "function"} <= set(raw):
+                raise DocumentError("dependency requires 'from', 'to', 'function'")
+            if not (isinstance(raw["from"], str) and isinstance(raw["to"], str)):
+                raise DocumentError("'from' and 'to' must be attribute ids")
+            fn_raw = raw["function"]
+            if not isinstance(fn_raw, dict) or "form" not in fn_raw:
+                raise DocumentError("function requires 'form'")
+            points = fn_raw.get("points", [])
+            if not (isinstance(points, list) and all(
+                    isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))
+                    for p in points)):
+                raise DocumentError("'points' must be a list of [x, y] pairs of finite numbers")
             fn = DependencyFunction(form=fn_raw["form"], a=fn_raw.get("a"), b=fn_raw.get("b"),
                                     points=tuple((x, y) for x, y in points))
             ag.add_dependency(AttributeDependency(parent=raw["from"], dependent=raw["to"],
                                                   function=fn))
         except (DocumentError, UnknownIdError, CycleError) as exc:
-            raise DocumentError(str(exc), location=loc) from None
+            raise DocumentError(str(exc), location=f"attribute_dependencies[{i}]") from None
     return ag

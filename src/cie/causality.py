@@ -19,8 +19,8 @@ of the causes that can explain what it asks about (demand-driven evaluation
 of recursive rules, the magic sets of Bancilhon et al., 1986, over the
 compiled codebook of Yemini et al., 1996). The memo only ever gains fully
 built values, so a graph stays value-immutable: every reader gets the same
-answers, whenever and from whichever thread it asks. ``refresh`` hands out a
-fresh graph for a new topology revision.
+answers, whenever and from whichever thread it asks. A new topology
+revision gets a fresh graph from ``instantiate``.
 """
 
 from __future__ import annotations
@@ -323,17 +323,9 @@ def _compile(graph: EntityGraph, cb: Codebook, max_depth: int,
 
 def refresh(cg: CausalityGraph, graph: EntityGraph, cb: Codebook,
             max_depth: int = DEFAULT_MAX_DEPTH) -> CausalityGraph:
-    """Bring a causality snapshot in line with ``graph``, the current topology.
-
-    Returns ``cg`` itself when ``instantiate`` built it from this very
-    graph, an equal codebook and the same ``max_depth``; otherwise a fresh
-    graph from ``instantiate``, so no block compiled for another revision
-    survives. A new revision costs its instances, then only the blocks its
-    queries read.
-    """
-    source = cg._source
-    if source is not None and source[0] is graph and source[1] == cb and source[2] == max_depth:
-        return cg
+    """``instantiate`` for ``graph``; ``cg`` is not read. The name and its four
+    parameters stay only for the benchmark in ``perfbench``, which times and
+    calls it; it goes once that benchmark calls ``instantiate`` instead."""
     return instantiate(graph, cb, max_depth=max_depth)
 
 

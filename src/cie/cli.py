@@ -132,7 +132,7 @@ def _tabulate(wire: dict, indent: int = 0) -> str:
                     lines.append(f"{pad}  - {item}")
         else:
             lines.append(f"{pad}{key}: {value}")
-    return "\n".join(line for line in lines if line is not None)
+    return "\n".join(lines)
 
 
 @main.group()

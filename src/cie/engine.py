@@ -79,10 +79,6 @@ class EngineSnapshot:
             self._diagnosis = localize(self.causality, self.active(), leak=self.leak)
         return self._diagnosis
 
-    def best_cause(self) -> str | None:
-        best = self.diagnosis().best
-        return best.cause_id if best else None
-
     def blast_radius(self, cause_id: str) -> impact.BlastRadius:
         if cause_id not in self._radius:
             self._radius[cause_id] = impact.blast_radius(

@@ -69,6 +69,12 @@ def load_scenario(path) -> Scenario:
                             "string", location="fault")
     if mode == "healthy" and fault:
         raise DocumentError("healthy mode forbids a 'fault' block", location="fault")
+    background = doc.get("background_observations", [])
+    fault_script = fault.get("observations", []) if fault else []
+    for key, script in (("background_observations", background),
+                        ("fault.observations", fault_script)):
+        if not isinstance(script, list):
+            raise DocumentError("observation script must be an array", location=key)
 
     for key in ("environment", "codebook"):
         if not isinstance(doc.get(key), str):
@@ -107,9 +113,9 @@ def load_scenario(path) -> Scenario:
         mode=mode,
         environment_path=base / doc["environment"],
         codebook_path=base / doc["codebook"],
-        background=doc.get("background_observations", []),
+        background=background,
         fault_cause=fault.get("cause") if fault else None,
-        fault_observations=fault.get("observations", []) if fault else [],
+        fault_observations=fault_script,
         queries=queries,
     )
 
@@ -134,12 +140,10 @@ def _check_expect(raw: dict, mode: str, loc: str):
                                     location=loc)
 
 
-def _resolve_script(entries: list[dict], rng: random.Random) -> list[Observation]:
-    if not isinstance(entries, list):
-        raise DocumentError("observation script must be an array")
+def _resolve_script(entries: list[dict], rng: random.Random, key: str) -> list[Observation]:
     observations = []
     for i, raw in enumerate(entries):
-        loc = f"observations[{i}]"
+        loc = f"{key}[{i}]"
         if not isinstance(raw, dict):
             raise DocumentError("observation must be an object", location=loc)
         record = dict(raw)
@@ -157,14 +161,16 @@ def _resolve_script(entries: list[dict], rng: random.Random) -> list[Observation
 
 
 def background_observations(scenario: Scenario, seed: int = 0) -> list[Observation]:
-    return _resolve_script(scenario.background, random.Random(seed))
+    return _resolve_script(scenario.background, random.Random(seed),
+                           "background_observations")
 
 
 def inject_fault(scenario: Scenario, seed: int = 0) -> list[Observation]:
     """Materialize the fault's observation stream, deterministic per seed."""
     if scenario.mode != "active_fault":
         raise DocumentError("inject_fault requires an active_fault scenario")
-    return _resolve_script(scenario.fault_observations, random.Random(seed))
+    return _resolve_script(scenario.fault_observations, random.Random(seed),
+                           "fault.observations")
 
 
 # -- rubric -------------------------------------------------------------------

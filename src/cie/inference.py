@@ -197,30 +197,14 @@ def activate_symptoms(cg: CausalityGraph, observations: list[Observation],
         as_of=state.as_of)
 
 
-def log_score(cg: CausalityGraph, cause_id: str, active: ActiveSymptomSet,
-              leak: float = DEFAULT_LEAK) -> float:
-    """Unnormalized log posterior score log(P(active | cause) * P(cause))."""
-    return _log_score(cg, cause_id, sorted(active.symptoms), math.log(leak))
-
-
-def _log_score(cg: CausalityGraph, cause_id: str, ordered: list[str],
-               log_leak: float) -> float:
-    """Sum in the given (sorted) symptom order, so equal active sets built in
-    different insertion orders score identically to the last digit."""
-    total = math.log(cg.cause(cause_id).prior)
-    for sid in ordered:
-        edge = cg.edge(cause_id, sid)
-        total += math.log(edge.probability) if edge is not None else log_leak
-    return total
-
-
 def localize(cg: CausalityGraph, active: ActiveSymptomSet,
              leak: float = DEFAULT_LEAK) -> Diagnosis:
     """Rank explanatory causes for the active symptom set.
 
     Candidates are the causes with at least one active effect; when none
-    qualifies the diagnosis is empty. Ties break toward the higher prior,
-    then the smaller cause id.
+    qualifies the diagnosis is empty. A log score sums the log prior, then
+    the sorted symptoms' terms, so insertion order never moves a digit.
+    Ties break toward the higher prior, then the smaller cause id.
     """
     ordered = sorted(active.symptoms)
     candidates: set[str] = set()
@@ -232,8 +216,16 @@ def localize(cg: CausalityGraph, active: ActiveSymptomSet,
     log_leak = math.log(leak)
     entries = []
     for cid in candidates:
-        explained = tuple(s for s in ordered if cg.edge(cid, s) is not None)
-        entries.append((cid, _log_score(cg, cid, ordered, log_leak), explained))
+        total = math.log(cg.cause(cid).prior)
+        explained = []
+        for sid in ordered:
+            edge = cg.edge(cid, sid)
+            if edge is None:
+                total += log_leak
+            else:
+                total += math.log(edge.probability)
+                explained.append(sid)
+        entries.append((cid, total, tuple(explained)))
 
     entries.sort(key=lambda e: (-e[1], -cg.causes[e[0]].prior, e[0]))
     total = _logsumexp([e[1] for e in entries])
@@ -280,18 +272,3 @@ def observation_from_dict(raw: dict, location: str | None = None) -> Observation
                            symptom=raw.get("symptom"))
     except DocumentError as exc:
         raise DocumentError(str(exc), location=location) from None
-
-
-def observation_to_dict(obs: Observation) -> dict:
-    record: dict = {"tick": obs.tick, "entity": obs.target}
-    if obs.attribute is not None:
-        record["attribute"] = obs.attribute
-        record["value"] = obs.value
-    else:
-        record["symptom"] = obs.symptom
-    return record
-
-
-def render_observations(observations: list[Observation]) -> str:
-    return "".join(json.dumps(observation_to_dict(o), sort_keys=True) + "\n"
-                   for o in observations)

@@ -9,6 +9,7 @@ attenuation. It is validated eagerly at load and immutable afterwards.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DocumentError
@@ -16,7 +17,7 @@ from .topology import RELATION_KINDS, _parse_document
 
 CODEBOOK_SCHEMA = "codebook/1"
 TRAVERSALS = ("forward", "reverse")
-COMPARATORS = (">", ">=", "<", "<=")
+COMPARATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 DEFAULT_PRIOR = 0.01
 
 
@@ -31,15 +32,7 @@ class ActivationSpec:
     threshold: float | None = None
 
     def holds(self, value: float) -> bool:
-        if self.kind != "threshold":
-            return False
-        if self.comparator == ">":
-            return value > self.threshold
-        if self.comparator == ">=":
-            return value >= self.threshold
-        if self.comparator == "<":
-            return value < self.threshold
-        return value <= self.threshold
+        return self.kind == "threshold" and COMPARATORS[self.comparator](value, self.threshold)
 
 
 EVENT_ACTIVATION = ActivationSpec(kind="event")
@@ -141,7 +134,7 @@ class Codebook:
                     raise DocumentError(
                         f"threshold references attribute {act.attribute!r} not declared "
                         f"on type {s.applies_to!r}", location=loc)
-                if act.comparator not in COMPARATORS:
+                if not isinstance(act.comparator, str) or act.comparator not in COMPARATORS:
                     raise DocumentError(f"unknown comparator {act.comparator!r}", location=loc)
                 if not is_finite_number(act.threshold):
                     raise DocumentError("threshold must be a finite number", location=loc)
@@ -314,31 +307,3 @@ def load_codebook(document) -> Codebook:
 
     return Codebook(tuple(types), tuple(causes), tuple(symptoms), tuple(rules),
                     version=str(doc.get("version", "0")))
-
-
-def render_codebook(cb: Codebook) -> dict:
-    """Inverse of load_codebook: load_codebook(render_codebook(cb)) == cb."""
-    def activation_dict(act: ActivationSpec) -> dict:
-        if act.kind == "threshold":
-            return {"kind": "threshold", "attribute": act.attribute,
-                    "comparator": act.comparator, "threshold": act.threshold}
-        return {"kind": act.kind}
-
-    return {
-        "schema": CODEBOOK_SCHEMA,
-        "version": cb.version,
-        "types": [{"name": t.type_name, "attributes": list(t.attribute_decls)}
-                  for t in cb.types],
-        "symptoms": [{"name": s.symptom_name, "applies_to": s.applies_to,
-                      "activation": activation_dict(s.activation)} for s in cb.symptoms],
-        "root_causes": [{"name": c.cause_name, "applies_to": c.applies_to,
-                         "prior": c.prior,
-                         "local_symptoms": [{"symptom": n, "probability": p}
-                                            for n, p in c.local_symptoms]}
-                        for c in cb.root_causes],
-        "propagation_rules": [{"id": r.rule_id, "from_symptom": r.from_symptom,
-                               "relation": r.over_relation, "traversal": r.traversal,
-                               "to_symptom": r.to_symptom, "attenuation": r.attenuation}
-                              for r in cb.rules],
-    }
-

@@ -132,6 +132,17 @@ def _team_param(params: dict) -> str | None:
     return team
 
 
+def _cause_param(snapshot: EngineSnapshot, params: dict) -> str | None:
+    """The requested cause, else the best diagnosis's, else None."""
+    cause_id = params.get("cause")
+    if cause_id is None:
+        best = snapshot.diagnosis().best
+        return best.cause_id if best else None
+    if not isinstance(cause_id, str):
+        raise _ParamError("invalid_params", "'cause' must be a root cause instance id")
+    return cause_id
+
+
 def _with_name(payload: dict, key: str, entity: Entity) -> dict:
     """``payload`` with the entity's name under ``key``, unless the name
     equals the entity id, which the payload already carries."""
@@ -213,18 +224,14 @@ def _handle_root_causes(snapshot: EngineSnapshot, params: dict) -> dict:
 
 def _handle_blast_radius(snapshot: EngineSnapshot, params: dict) -> dict:
     team = _team_param(params)
-    cause_id = params.get("cause")
-    if cause_id is not None and not isinstance(cause_id, str):
-        raise _ParamError("invalid_params", "'cause' must be a root cause instance id")
+    cause_id = _cause_param(snapshot, params)
     if cause_id is None:
-        cause_id = snapshot.best_cause()
-        if cause_id is None:
-            payload = {"cause": None, "direct": [], "transitive": [], "via": {},
-                       "teams": [], "multi_team": False, "truncated": False,
-                       "message": f"no impacted services; {NO_ROOT_CAUSE}"}
-            if team is not None:
-                payload["team"] = {"team": team, "owns_impacted": False}
-            return payload
+        payload = {"cause": None, "direct": [], "transitive": [], "via": {},
+                   "teams": [], "multi_team": False, "truncated": False,
+                   "message": f"no impacted services; {NO_ROOT_CAUSE}"}
+        if team is not None:
+            payload["team"] = {"team": team, "owns_impacted": False}
+        return payload
     radius = snapshot.blast_radius(cause_id)
     payload = {
         "cause": _cause_ref(snapshot, cause_id),
@@ -253,11 +260,7 @@ def _handle_remediation(snapshot: EngineSnapshot, params: dict) -> dict:
     for target in targets:
         if target not in snapshot.topology:
             raise UnknownIdError(f"unknown entity {target!r}")
-    cause_id = params.get("cause")
-    if cause_id is not None and not isinstance(cause_id, str):
-        raise _ParamError("invalid_params", "'cause' must be a root cause instance id")
-    if cause_id is None:
-        cause_id = snapshot.best_cause()
+    cause_id = _cause_param(snapshot, params)
     if cause_id is None:
         return {"cause": None,
                 "verdicts": [{"target": t, "aligned": None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from typing import NamedTuple
 
@@ -10,7 +11,7 @@ from cie.attributes import (AttributeDependency, AttributeGraph, AttributeNode,
 from cie.causality import (DEFAULT_MAX_DEPTH, CausalEdge, CausalityGraph, RootCauseInstance,
                            SymptomInstance, instance_id, rule_closure)
 from cie.inference import ActiveSymptomSet, Observation, validate_key
-from cie.knowledge_base import (ActivationSpec, Codebook, EntityTypeDef,
+from cie.knowledge_base import (CODEBOOK_SCHEMA, ActivationSpec, Codebook, EntityTypeDef,
                                 PropagationRule, RootCauseDef, SymptomDef)
 from cie.topology import RELATION_KINDS, Entity, EntityGraph, Relation
 
@@ -64,6 +65,33 @@ def random_codebook(rng: random.Random) -> Codebook:
                                      attenuation=rng.uniform(0.1, 1.0)))
     return Codebook(tuple(types), tuple(causes), tuple(symptoms), tuple(rules),
                     version="gen")
+
+
+def render_codebook(cb: Codebook) -> dict:
+    """Inverse of load_codebook: load_codebook(render_codebook(cb)) == cb."""
+    def activation_dict(act: ActivationSpec) -> dict:
+        if act.kind == "threshold":
+            return {"kind": "threshold", "attribute": act.attribute,
+                    "comparator": act.comparator, "threshold": act.threshold}
+        return {"kind": act.kind}
+
+    return {
+        "schema": CODEBOOK_SCHEMA,
+        "version": cb.version,
+        "types": [{"name": t.type_name, "attributes": list(t.attribute_decls)}
+                  for t in cb.types],
+        "symptoms": [{"name": s.symptom_name, "applies_to": s.applies_to,
+                      "activation": activation_dict(s.activation)} for s in cb.symptoms],
+        "root_causes": [{"name": c.cause_name, "applies_to": c.applies_to,
+                         "prior": c.prior,
+                         "local_symptoms": [{"symptom": n, "probability": p}
+                                            for n, p in c.local_symptoms]}
+                        for c in cb.root_causes],
+        "propagation_rules": [{"id": r.rule_id, "from_symptom": r.from_symptom,
+                               "relation": r.over_relation, "traversal": r.traversal,
+                               "to_symptom": r.to_symptom, "attenuation": r.attenuation}
+                              for r in cb.rules],
+    }
 
 
 def random_topology(rng: random.Random, cb: Codebook,
@@ -289,6 +317,22 @@ def replay_activation(cg: CausalityGraph, observations: list[Observation],
             if sample is not None and act.holds(sample[1]):
                 active.add(sid)
     return ActiveSymptomSet(symptoms=frozenset(active), as_of=as_of)
+
+
+def observation_to_dict(obs: Observation) -> dict:
+    record: dict = {"tick": obs.tick, "entity": obs.target}
+    if obs.attribute is not None:
+        record["attribute"] = obs.attribute
+        record["value"] = obs.value
+    else:
+        record["symptom"] = obs.symptom
+    return record
+
+
+def render_observations(observations: list[Observation]) -> str:
+    """Inverse of parse_observations: one sorted-key JSON line per observation."""
+    return "".join(json.dumps(observation_to_dict(o), sort_keys=True) + "\n"
+                   for o in observations)
 
 
 # -- oracles over topology/codebook instantiation -----------------------------

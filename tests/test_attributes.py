@@ -272,3 +272,75 @@ def test_invalid_topological_order_rejected():
         ag.evaluate(order=["c", "p"])
     with pytest.raises(DocumentError, match="permutation"):
         ag.evaluate(order=["p"])
+
+
+def _small_environment():
+    cb = load_codebook({"schema": "codebook/1",
+                        "types": [{"name": "svc", "attributes": ["x", "y"]}]})
+    doc = {"schema": "env/1",
+           "entities": [{"id": "a", "type": "svc"}, {"id": "b", "type": "svc"}],
+           "attributes": [{"entity": "a", "attribute": "x", "value": 1.0},
+                          {"entity": "b", "attribute": "x"}],
+           "attribute_dependencies": [{"from": "a:x", "to": "b:x", "function": {"form": "sum"}}]}
+    return doc, cb
+
+
+@pytest.mark.parametrize("edit, location, message", [
+    (lambda d: d.update(attributes={}), "attributes", "'attributes' must be an array"),
+    (lambda d: d.update(attribute_dependencies="a:x"), "attribute_dependencies",
+     "'attribute_dependencies' must be an array"),
+    (lambda d: d["attributes"][0].pop("attribute"), "attributes[0]",
+     "attribute requires 'entity' and 'attribute'"),
+    (lambda d: d["attributes"].append("a:y"), "attributes[2]",
+     "attribute requires 'entity' and 'attribute'"),
+    (lambda d: d["attributes"].append({"entity": "ghost", "attribute": "x"}), "attributes[2]",
+     "unknown entity 'ghost'"),
+    (lambda d: d["attributes"].append({"entity": "a", "attribute": "z"}), "attributes[2]",
+     "attribute 'z' not declared on type 'svc'"),
+    (lambda d: d["attributes"].append({"entity": "a", "attribute": "x"}), "attributes[2]",
+     "duplicate attribute 'a:x'"),
+    (lambda d: d["attribute_dependencies"][0].pop("function"), "attribute_dependencies[0]",
+     "dependency requires 'from', 'to', 'function'"),
+    (lambda d: d["attribute_dependencies"][0].update(function={"a": 1}),
+     "attribute_dependencies[0]", "function requires 'form'"),
+    (lambda d: d["attribute_dependencies"][0].update(function={"form": "quadratic"}),
+     "attribute_dependencies[0]", "unknown function form 'quadratic'"),
+    (lambda d: d["attribute_dependencies"][0].update(
+        function={"form": "table", "points": [[1, 0], [1, 2]]}),
+     "attribute_dependencies[0]", "table needs >= 2 points with strictly increasing x"),
+    (lambda d: d["attribute_dependencies"][0].update(
+        function={"form": "table", "points": [[0, 0]]}),
+     "attribute_dependencies[0]", "table needs >= 2 points with strictly increasing x"),
+    (lambda d: d["attribute_dependencies"].append(dict(d["attribute_dependencies"][0])),
+     "attribute_dependencies[1]", "duplicate dependency 'a:x' -> 'b:x'"),
+    (lambda d: d["attribute_dependencies"][0].update({"from": "ghost:x"}),
+     "attribute_dependencies[0]", "unknown attribute 'ghost:x'"),
+    (lambda d: d["attribute_dependencies"][0].update(to="b:y"),
+     "attribute_dependencies[0]", "unknown attribute 'b:y'"),
+], ids=["attributes-not-array", "dependencies-not-array", "attribute-without-name",
+        "attribute-not-object", "unknown-entity", "undeclared-attribute",
+        "duplicate-attribute", "dependency-without-function", "function-without-form",
+        "unknown-form", "table-x-not-increasing", "table-one-point", "duplicate-dependency",
+        "unknown-parent", "unknown-dependent"])
+def test_attribute_refusals_are_located(edit, location, message):
+    doc, cb = _small_environment()
+    edit(doc)
+    with pytest.raises(DocumentError) as err:
+        load_attribute_graph(doc, load_environment(doc, codebook=cb), cb)
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {message}"
+
+
+def test_attribute_graph_refuses_duplicates_and_unknown_endpoints():
+    ag = AttributeGraph()
+    ag.add_node(node("a", 1.0))
+    ag.add_node(node("b"))
+    with pytest.raises(DocumentError, match="^duplicate attribute 'a'$"):
+        ag.add_node(node("a", 2.0))
+    with pytest.raises(UnknownIdError, match="^unknown attribute 'ghost'$"):
+        ag.add_dependency(AttributeDependency("ghost", "b", DependencyFunction(form="sum")))
+    ag.add_dependency(AttributeDependency("a", "b", DependencyFunction(form="sum")))
+    with pytest.raises(DocumentError, match="^duplicate dependency 'a' -> 'b'$"):
+        ag.add_dependency(AttributeDependency("a", "b", DependencyFunction(form="sum")))
+    with pytest.raises(DocumentError, match="^unknown function form 'cubic'$"):
+        DependencyFunction(form="cubic")

@@ -9,8 +9,9 @@ import cie.harness
 import cie.service
 from cie import data
 from cie.cli import main
-from cie.inference import render_observations
 from cie.harness import inject_fault, load_scenario
+
+from genmodels import render_observations
 
 
 @pytest.fixture()
@@ -129,6 +130,37 @@ def test_query_table_format(runner, shop_env_path, shop_codebook_path):
                                   "--format", "table"])
     assert result.exit_code == 0, result.output
     assert "verdict: healthy" in result.output
+
+
+def _table_query(runner, env, codebook, tmp_path, method):
+    stream = tmp_path / "obs.jsonl"
+    stream.write_text(render_observations(
+        inject_fault(load_scenario(data.scenario_path("active-fault")))))
+    result = runner.invoke(main, ["query", "--env", str(env), "--codebook", str(codebook),
+                                  "--observations", str(stream), "--method", method,
+                                  "--format", "table"])
+    assert result.exit_code == 0, result.output
+    return result.output.splitlines()
+
+
+def test_query_table_lists_objects(runner, shop_env_path, shop_codebook_path, tmp_path):
+    lines = _table_query(runner, shop_env_path, shop_codebook_path, tmp_path, "get_symptoms")
+    start = lines.index("  symptoms: [6 items]")
+    assert lines[start + 1:start + 5] == ["    id: checkout_request_errors@checkout",
+                                          "    symptom_name: checkout_request_errors",
+                                          "    entity: checkout",
+                                          ""]
+    assert lines.count("") == 6  # one blank line closes each object
+
+
+def test_query_table_lists_strings(runner, shop_env_path, shop_codebook_path, tmp_path):
+    lines = _table_query(runner, shop_env_path, shop_codebook_path, tmp_path,
+                         "get_blast_radius")
+    start = lines.index("  transitive: [4 items]")
+    assert lines[start + 1:start + 5] == ["    - accounting", "    - checkout",
+                                          "    - payment", "    - shipping"]
+    assert "    checkout: [2 items]" in lines
+    assert "  multi_team: True" in lines
 
 
 def test_query_bad_params_json(runner, shop_env_path, shop_codebook_path):

@@ -12,12 +12,12 @@ from cie.causality import instantiate
 from cie.engine import Engine
 from cie.errors import DocumentError, EngineError, UnknownIdError
 from cie.harness import background_observations, inject_fault, load_scenario
-from cie.inference import (activate_symptoms, attribute_sample, localize,
-                           render_observations, symptom_event)
+from cie.inference import activate_symptoms, attribute_sample, localize, symptom_event
 from cie.service import handle
 from cie.topology import Entity, Relation
 
-from genmodels import random_codebook, random_topology, replay_activation
+from genmodels import (random_codebook, random_topology, render_observations,
+                       replay_activation)
 
 
 def test_snapshot_reuses_causality_until_topology_moves(shop_engine):

@@ -10,8 +10,8 @@ from cie.errors import DocumentError
 from cie.harness import (_RUBRIC, background_observations, footprint_metrics,
                          format_rubric_table, inject_fault, load_scenario,
                          metrics_to_jsonl, rubric_report_dict, run_scenario)
-from cie.inference import render_observations
-from cie.knowledge_base import load_codebook, render_codebook
+
+from genmodels import render_observations
 
 
 @pytest.fixture(scope="module")
@@ -95,15 +95,24 @@ def _set_jitter(key, value):
     (_set_expect(5, "teams", "team-payments"), "queries[5]"),
     (_set_expect(5, "teams", [["team-payments"]]), "queries[5]"),
     (_set_expect(1, "impacted", 5), "queries[1]"),
-    (_set_jitter("mean", "0.97"), "observations[1]"),
-    (_set_jitter("mean", None), "observations[1]"),
-    (_set_jitter("jitter", [0.005]), "observations[1]"),
-    (_set_jitter("jitter", True), "observations[1]"),
+    (_set_jitter("mean", "0.97"), "fault.observations[1]"),
+    (_set_jitter("mean", None), "fault.observations[1]"),
+    (_set_jitter("jitter", [0.005]), "fault.observations[1]"),
+    (_set_jitter("jitter", True), "fault.observations[1]"),
+    (lambda doc: {**doc, "background_observations": {"tick": 1}}, "background_observations"),
+    (lambda doc: {**doc, "fault": {**doc["fault"], "observations": "x"}},
+     "fault.observations"),
+    (lambda doc: doc["background_observations"][2].update(entity=7),
+     "background_observations[2]"),
+    (lambda doc: doc["fault"]["observations"][0].update(tick="1"), "fault.observations[0]"),
+    (lambda doc: doc["fault"]["observations"].insert(2, 5), "fault.observations[2]"),
 ], ids=["top-level-array", "request-not-object", "expect-not-object", "id-not-string",
         "fault-not-object", "fault-without-cause", "cause-not-string",
         "root-cause-without-cause-name", "root-cause-without-entity", "aligned-list",
         "teams-string", "teams-nested", "impacted-number", "jitter-mean-string",
-        "jitter-mean-null", "jitter-list", "jitter-bool"])
+        "jitter-mean-null", "jitter-list", "jitter-bool", "background-not-array",
+        "fault-script-not-array", "background-entity-not-string",
+        "fault-entry-tick-string", "fault-entry-not-object"])
 def test_malformed_scenario_is_a_located_document_error(tmp_path, edit, location):
     doc = json.loads(data.scenario_path("active-fault").read_text())
     doc = edit(doc) or doc
@@ -179,9 +188,7 @@ def test_run_scenario_deterministic(fault_scenario):
 def ablated_engine(fault_scenario, mutate):
     doc = json.loads(fault_scenario.codebook_path.read_text())
     mutate(doc)
-    cb = load_codebook(doc)
-    env_doc = fault_scenario.environment_path.read_text()
-    return Engine.from_documents(env_doc, render_codebook(cb))
+    return Engine.from_documents(fault_scenario.environment_path.read_text(), doc)
 
 
 def test_ablation_missing_rules_fails_impact_with_reason(fault_scenario):

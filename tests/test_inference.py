@@ -13,14 +13,14 @@ from cie.causality import (CausalEdge, CausalityGraph, RootCauseInstance,
                            SymptomInstance, instantiate)
 from cie.engine import Engine, EngineSnapshot
 from cie.errors import DocumentError, UnknownIdError
-from cie.inference import (ActiveSymptomSet, activate_symptoms, attribute_sample,
-                           localize, log_score, observation_from_dict,
-                           parse_observations, render_observations, symptom_event)
+from cie.inference import (ActiveSymptomSet, Observation, activate_symptoms,
+                           attribute_sample, localize, observation_from_dict,
+                           parse_observations, symptom_event)
 from cie.knowledge_base import ActivationSpec
 from cie.service import handle
 
 from genmodels import (brute_force_ranking, eager_causality, random_active_set,
-                       random_inference_graph, replay_activation)
+                       random_inference_graph, render_observations, replay_activation)
 
 LEAK = 1e-3
 
@@ -108,34 +108,25 @@ def test_observation_shape_validation():
 
 # -- score --------------------------------------------------------------------
 
-def test_score_of_empty_active_set_is_prior():
-    cg = tiny_graph({"r1": {"s1": 0.9}}, {"r1": 0.25})
-    assert math.exp(log_score(cg, "r1@h", ActiveSymptomSet(frozenset()))) == pytest.approx(
-        0.25, rel=1e-12)
-
-
 def test_score_single_explained_symptom():
     cg = tiny_graph({"r1": {"s1": 0.9}}, {"r1": 0.5})
     active = ActiveSymptomSet(frozenset({"s1@h"}))
-    assert math.exp(log_score(cg, "r1@h", active)) == pytest.approx(0.45, rel=1e-12)
+    (entry,) = localize(cg, active).ranked
+    assert math.exp(entry.log_score) == pytest.approx(0.45, rel=1e-12)
 
 
 def test_score_two_unexplained_symptoms_log_space_cross_check():
+    # r0 is a candidate through s3 and leaks on s1 and s2, which it has no edge to.
     cg = tiny_graph({"r1": {"s1": 0.9, "s2": 0.9}, "r0": {"s3": 0.5}},
                     {"r1": 0.5, "r0": 0.01})
-    active = ActiveSymptomSet(frozenset({"s1@h", "s2@h"}))
-    got = math.exp(log_score(cg, "r0@h", active, leak=1e-3))
-    direct = 0.01 * 1e-3 * 1e-3
+    active = ActiveSymptomSet(frozenset({"s1@h", "s2@h", "s3@h"}))
+    (entry,) = [e for e in localize(cg, active, leak=1e-3).ranked if e.cause_id == "r0@h"]
+    got = math.exp(entry.log_score)
+    direct = 0.01 * 1e-3 * 1e-3 * 0.5
     assert got == pytest.approx(direct, rel=1e-9)
-    assert got == pytest.approx(1e-8, rel=1e-9)
-    assert log_score(cg, "r0@h", active, leak=1e-3) == pytest.approx(math.log(direct),
-                                                                     rel=1e-9)
-
-
-def test_score_unknown_cause():
-    cg = tiny_graph({"r1": {"s1": 0.9}}, {"r1": 0.5})
-    with pytest.raises(UnknownIdError):
-        log_score(cg, "nope@h", ActiveSymptomSet(frozenset()))
+    assert got == pytest.approx(5e-9, rel=1e-9)
+    assert entry.log_score == pytest.approx(math.log(direct), rel=1e-9)
+    assert entry.explained == ("s3@h",)
 
 
 # -- localize -----------------------------------------------------------------
@@ -402,6 +393,35 @@ def test_observation_fields_validated(fields, message):
         observation_from_dict({"tick": 1, **fields})
     with pytest.raises(DocumentError, match=f"line 1: {message}"):
         parse_observations(json.dumps({"tick": 1, **fields}) + "\n")
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"tick": 1, "entity": "e", "attribute": "a", "value": 1.0, "symptom": "s"},
+     "observation must carry either attribute/value or symptom"),
+    ({"tick": 1, "entity": "e"}, "observation must carry either attribute/value or symptom"),
+    ({"tick": 1, "entity": "e", "value": 1.0},
+     "observation must carry either attribute/value or symptom"),
+    ({"tick": 1, "entity": "e", "attribute": "a"}, "attribute sample 'a' has no value"),
+    ({"entity": "e", "symptom": "s"}, "observation requires 'entity' and 'tick'"),
+    ({"tick": 1, "symptom": "s"}, "observation requires 'entity' and 'tick'"),
+    (["e", 1, "s"], "observation requires 'entity' and 'tick'"),
+], ids=["attribute-and-symptom", "neither", "value-without-attribute",
+        "attribute-without-value", "no-tick", "no-entity", "not-object"])
+def test_observation_refusals_are_located(raw, message):
+    with pytest.raises(DocumentError) as info:
+        observation_from_dict(raw, location="observations[3]")
+    assert info.value.location == "observations[3]"
+    assert str(info.value) == f"observations[3]: {message}"
+    with pytest.raises(DocumentError) as info:
+        parse_observations("\n" + json.dumps(raw) + "\n")
+    assert str(info.value) == f"line 2: {message}"
+
+
+def test_observation_built_directly_needs_attribute_or_symptom():
+    with pytest.raises(DocumentError, match="^observation must carry either attribute/value"):
+        Observation(target="e", tick=1)
+    with pytest.raises(DocumentError, match="^observation must carry either attribute/value"):
+        Observation(target="e", tick=1, attribute="a", value=1.0, symptom="s")
 
 
 def test_nan_sample_cannot_clear_an_active_symptom(fresh_shop_engine):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cie.errors import DocumentError
-from cie.knowledge_base import load_codebook, render_codebook
+from cie.knowledge_base import Codebook, load_codebook
 
-from genmodels import random_codebook
+from genmodels import random_codebook, render_codebook
 
 MINIMAL = {
     "schema": "codebook/1",
@@ -210,3 +210,84 @@ def test_malformed_rule_fields_are_document_errors(field):
     rule[field] = [rule[field]]
     with pytest.raises(DocumentError, match=f"'{field}' must be a string"):
         load_codebook(_with(("propagation_rules",), [rule]))
+
+
+RULE = {"id": "r", "from_symptom": "errors", "relation": "conn",
+        "traversal": "reverse", "to_symptom": "errors", "attenuation": 0.5}
+
+
+def _edited(edit):
+    doc = json.loads(json.dumps(MINIMAL))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, location, message", [
+    (lambda d: d["types"].append({"name": "svc"}), "svc", "duplicate type 'svc'"),
+    (lambda d: d["types"][0]["attributes"].append("error_rate"), "svc",
+     "duplicate attribute declaration"),
+    (lambda d: d["root_causes"].append(dict(d["root_causes"][0])), "bug",
+     "duplicate root cause 'bug'"),
+    (lambda d: d["propagation_rules"].extend([RULE, dict(RULE)]), "r",
+     "duplicate rule id 'r'"),
+    (lambda d: d["symptoms"][0].update(applies_to="db"), "errors", "unknown type 'db'"),
+    (lambda d: d["root_causes"][0].update(applies_to="db"), "bug", "unknown type 'db'"),
+    (lambda d: d["root_causes"][0]["local_symptoms"][0].update(symptom="phantom"), "bug",
+     "unknown symptom 'phantom'"),
+    (lambda d: d["propagation_rules"].append({**RULE, "from_symptom": "phantom"}), "r",
+     "unknown symptom 'phantom'"),
+    (lambda d: d["symptoms"][0]["activation"].update(comparator="!="), "errors",
+     "unknown comparator '!='"),
+    (lambda d: d["symptoms"][0]["activation"].update(comparator=[">"]), "errors",
+     "unknown comparator ['>']"),
+    (lambda d: d["symptoms"][0]["activation"].pop("comparator"), "errors",
+     "unknown comparator None"),
+    (lambda d: d["symptoms"][0].update(activation={"kind": "sometimes"}), "errors",
+     "unknown activation kind 'sometimes'"),
+    (lambda d: d["symptoms"][0].update(activation={"attribute": "error_rate"}), "symptoms[0]",
+     "activation requires 'kind'"),
+    (lambda d: d["propagation_rules"].append({**RULE, "relation": "owns"}), "r",
+     "unknown relation kind 'owns'"),
+    (lambda d: d["propagation_rules"].append({**RULE, "traversal": "sideways"}), "r",
+     "unknown traversal 'sideways'"),
+    (lambda d: d.update(types={}), "types", "'types' must be an array"),
+    (lambda d: d.update(symptoms="errors"), "symptoms", "'symptoms' must be an array"),
+    (lambda d: d.update(root_causes=None), "root_causes", "'root_causes' must be an array"),
+    (lambda d: d.update(propagation_rules=RULE), "propagation_rules",
+     "'propagation_rules' must be an array"),
+    (lambda d: d["types"][0].pop("name"), "types[0]", "type requires 'name'"),
+    (lambda d: d["types"].append("svc"), "types[1]", "type requires 'name'"),
+    (lambda d: d["symptoms"][0].pop("applies_to"), "symptoms[0]",
+     "symptom requires 'name' and 'applies_to'"),
+    (lambda d: d["root_causes"][0].pop("name"), "root_causes[0]",
+     "root cause requires 'name' and 'applies_to'"),
+    (lambda d: d["root_causes"][0].update(local_symptoms={}), "root_causes[0]",
+     "'local_symptoms' must be an array"),
+    (lambda d: d["root_causes"][0]["local_symptoms"][0].pop("probability"),
+     "root_causes[0].local_symptoms[0]", "local symptom requires 'symptom' and 'probability'"),
+    (lambda d: d["propagation_rules"].append({k: v for k, v in RULE.items() if k != "id"}),
+     "propagation_rules[0]",
+     "rule requires ['attenuation', 'from_symptom', 'id', 'relation', 'to_symptom', "
+     "'traversal']"),
+    (lambda d: d.update(schema="codebook/2"), "schema",
+     "expected schema 'codebook/1', got 'codebook/2'"),
+], ids=["duplicate-type", "duplicate-attribute", "duplicate-cause", "duplicate-rule",
+        "symptom-unknown-type", "cause-unknown-type", "cause-unknown-symptom",
+        "rule-unknown-symptom", "unknown-comparator", "list-comparator", "missing-comparator",
+        "unknown-activation-kind", "activation-without-kind", "unknown-relation-kind",
+        "unknown-traversal", "types-not-array", "symptoms-not-array",
+        "root-causes-not-array", "rules-not-array", "type-without-name", "type-not-object",
+        "symptom-without-applies-to", "cause-without-name", "local-symptoms-not-array",
+        "local-symptom-without-probability", "rule-without-id", "wrong-schema"])
+def test_codebook_refusals_are_located(edit, location, message):
+    with pytest.raises(DocumentError) as info:
+        load_codebook(_edited(edit))
+    assert info.value.location == location
+    assert str(info.value) == f"{location}: {message}"
+
+
+def test_codebook_built_directly_refuses_a_duplicate_type():
+    cb = load_codebook(MINIMAL)
+    with pytest.raises(DocumentError, match="duplicate type 'svc'") as info:
+        Codebook(cb.types + cb.types, cb.root_causes, cb.symptoms, cb.rules)
+    assert info.value.location == "svc"

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cie.impact
+import cie.service
 from cie import data
 from cie.causality import DEFAULT_MAX_DEPTH, instantiate
 from cie.engine import Engine, EngineSnapshot
 from cie.harness import background_observations, inject_fault, load_scenario
-from cie.errors import DocumentError
+from cie.errors import DocumentError, DuplicateIdError
 from cie.inference import (DEFAULT_LEAK, ActiveSymptomSet, Observation, attribute_sample,
                            localize)
 from cie.service import MAX_FRAME_CHARS, METHODS, handle, serve
@@ -389,6 +390,31 @@ def test_serve_malformed_frame_keeps_stream_alive(healthy_engine):
         assert response["id"] is None and response["status"] == "error"
         assert response["error"]["code"] == "parse_error"
     assert responses[3]["id"] == 2 and responses[3]["status"] == "ok"
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (DocumentError("bad shape", location="params"), "invalid_params", "params: bad shape"),
+    (DuplicateIdError("duplicate entity id 'x'"), "engine_error", "duplicate entity id 'x'"),
+    (RuntimeError("boom"), "internal_error", "RuntimeError: boom"),
+], ids=["document-error", "engine-error", "internal-error"])
+def test_serve_answers_a_raising_handler_and_the_next_frame(healthy_engine, monkeypatch,
+                                                            exc, code, message):
+    def raising(snapshot, params):
+        raise exc
+    monkeypatch.setitem(cie.service._HANDLERS, "get_topology", raising)
+    lines = '{"id": 1, "method": "get_topology"}\n{"id": 2, "method": "get_symptoms"}\n'
+    count, _, responses = run_serve(healthy_engine, lines)
+    assert count == 2
+    assert responses[0] == {"id": 1, "status": "error",
+                            "error": {"code": code, "message": message}}
+    assert responses[1]["id"] == 2 and responses[1]["status"] == "ok"
+
+
+def test_serve_skips_blank_lines(healthy_engine):
+    lines = '\n   \n{"id": 1, "method": "get_symptoms"}\n\t\n\n{"id": 2, "method": "get_symptoms"}'
+    count, _, responses = run_serve(healthy_engine, lines)
+    assert count == 2
+    assert [(r["id"], r["status"]) for r in responses] == [(1, "ok"), (2, "ok")]
 
 
 def test_batch_with_non_integer_tick_is_refused_whole_and_serve_keeps_answering(

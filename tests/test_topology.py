@@ -374,3 +374,39 @@ def test_loading_a_valid_document_builds_no_relation_objects(shop_env_path, monk
     monkeypatch.setattr(Relation, "__post_init__", refuse)
     graph = load_environment(shop_env_path.read_text())
     assert graph.adjacent("checkout", "conn", "out")
+
+
+@pytest.mark.parametrize("edit, location, message", [
+    (lambda d: d.update(entities={"a": {"type": "service"}}), "entities",
+     "'entities' must be an array"),
+    (lambda d: d.update(relations="a->b"), "relations", "'relations' must be an array"),
+    (lambda d: d["entities"][0].pop("id"), "entities[0]", "entity requires 'id' and 'type'"),
+    (lambda d: d["entities"][1].pop("type"), "entities[1]", "entity requires 'id' and 'type'"),
+    (lambda d: d["entities"].append("c"), "entities[2]", "entity requires 'id' and 'type'"),
+    (lambda d: d["entities"].append({"id": "a", "type": "db"}), "entities[2]",
+     "duplicate entity id 'a'"),
+    (lambda d: d["entities"][0].update(metadata={"zone": 1}), "entities[0]",
+     "metadata must map strings to strings"),
+    (lambda d: d["entities"][0].update(metadata=["zone"]), "entities[0]",
+     "metadata must map strings to strings"),
+], ids=["entities-not-array", "relations-not-array", "entity-without-id",
+        "entity-without-type", "entity-not-object", "duplicate-id", "metadata-value-number",
+        "metadata-list"])
+def test_environment_refusals_are_located(edit, location, message):
+    doc = {"schema": "env/1",
+           "entities": [{"id": "a", "type": "service"}, {"id": "b", "type": "service"}],
+           "relations": [{"source": "a", "target": "b", "kind": "conn"}]}
+    edit(doc)
+    with pytest.raises(DocumentError) as err:
+        load_environment(doc)
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {message}"
+
+
+@pytest.mark.parametrize("relation", [Relation("a", "ghost", "conn"),
+                                      Relation("ghost", "a", "conn")])
+def test_add_relation_to_an_unknown_endpoint_is_refused(relation):
+    graph = EntityGraph().add_entity(entity("a"))
+    with pytest.raises(UnknownIdError, match="relation endpoint 'ghost' does not exist"):
+        graph.add_relation(relation)
+    assert graph.relations == frozenset()
