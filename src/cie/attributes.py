@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CycleError, DocumentError, UnknownIdError
+from .errors import CycleError, DocumentError, UnknownIdError, parse_document, walk
 from .knowledge_base import COMPARATORS, is_finite_number
-from .topology import _parse_document
 
 CHANGE_TOLERANCE = 1e-12
 FUNCTION_FORMS = ("affine", "sum", "max", "table")
@@ -247,48 +246,45 @@ def attribute_id(entity_id: str, attribute_name: str) -> str:
 def load_attribute_graph(document, graph, cb) -> AttributeGraph:
     """Read the ``attributes`` / ``attribute_dependencies`` arrays of an
     environment document, validating hosts and declarations."""
-    doc = _parse_document(document, "environment")
-    for key in ("attributes", "attribute_dependencies"):
-        if not isinstance(doc.get(key, []), list):
-            raise DocumentError(f"{key!r} must be an array", location=key)
+    doc = parse_document(document, "environment")
     ag = AttributeGraph()
-    for i, raw in enumerate(doc.get("attributes", [])):
-        try:
-            if not isinstance(raw, dict) or "entity" not in raw or "attribute" not in raw:
-                raise DocumentError("attribute requires 'entity' and 'attribute'")
-            eid, name = raw["entity"], raw["attribute"]
-            if not isinstance(eid, str) or eid not in graph:
-                raise DocumentError(f"unknown entity {eid!r}")
-            etype = graph.entity(eid).entity_type
-            if name not in cb.type_def(etype).attribute_decls:
-                raise DocumentError(f"attribute {name!r} not declared on type {etype!r}")
-            for key in ("value", "baseline"):
-                if raw.get(key) is not None and not is_finite_number(raw[key]):
-                    raise DocumentError(f"{key!r} must be a finite number or null")
-            ag.add_node(AttributeNode(id=attribute_id(eid, name), host_entity=eid,
-                                      attribute_name=name, value=raw.get("value"),
-                                      baseline=raw.get("baseline"), unit=raw.get("unit", "")))
-        except DocumentError as exc:
-            raise DocumentError(str(exc), location=f"attributes[{i}]") from None
 
-    for i, raw in enumerate(doc.get("attribute_dependencies", [])):
-        try:
-            if not isinstance(raw, dict) or not {"from", "to", "function"} <= set(raw):
-                raise DocumentError("dependency requires 'from', 'to', 'function'")
-            if not (isinstance(raw["from"], str) and isinstance(raw["to"], str)):
-                raise DocumentError("'from' and 'to' must be attribute ids")
-            fn_raw = raw["function"]
-            if not isinstance(fn_raw, dict) or "form" not in fn_raw:
-                raise DocumentError("function requires 'form'")
-            points = fn_raw.get("points", [])
-            if not (isinstance(points, list) and all(
-                    isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))
-                    for p in points)):
-                raise DocumentError("'points' must be a list of [x, y] pairs of finite numbers")
-            fn = DependencyFunction(form=fn_raw["form"], a=fn_raw.get("a"), b=fn_raw.get("b"),
-                                    points=tuple((x, y) for x, y in points))
-            ag.add_dependency(AttributeDependency(parent=raw["from"], dependent=raw["to"],
-                                                  function=fn))
-        except (DocumentError, UnknownIdError, CycleError) as exc:
-            raise DocumentError(str(exc), location=f"attribute_dependencies[{i}]") from None
+    def add_node(raw):
+        if not isinstance(raw, dict) or "entity" not in raw or "attribute" not in raw:
+            raise DocumentError("attribute requires 'entity' and 'attribute'")
+        eid, name, unit = raw["entity"], raw["attribute"], raw.get("unit", "")
+        if not isinstance(eid, str) or eid not in graph:
+            raise DocumentError(f"unknown entity {eid!r}")
+        etype = graph.entity(eid).entity_type
+        if name not in cb.type_def(etype).attribute_decls:
+            raise DocumentError(f"attribute {name!r} not declared on type {etype!r}")
+        for key in ("value", "baseline"):
+            if raw.get(key) is not None and not is_finite_number(raw[key]):
+                raise DocumentError(f"{key!r} must be a finite number or null")
+        if not isinstance(unit, str):
+            raise DocumentError("'unit' must be a string")
+        ag.add_node(AttributeNode(id=attribute_id(eid, name), host_entity=eid,
+                                  attribute_name=name, value=raw.get("value"),
+                                  baseline=raw.get("baseline"), unit=unit))
+
+    def add_dependency(raw):
+        if not isinstance(raw, dict) or not {"from", "to", "function"} <= set(raw):
+            raise DocumentError("dependency requires 'from', 'to', 'function'")
+        if not (isinstance(raw["from"], str) and isinstance(raw["to"], str)):
+            raise DocumentError("'from' and 'to' must be attribute ids")
+        fn_raw = raw["function"]
+        if not isinstance(fn_raw, dict) or "form" not in fn_raw:
+            raise DocumentError("function requires 'form'")
+        points = fn_raw.get("points", [])
+        if not (isinstance(points, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(map(is_finite_number, p))
+                for p in points)):
+            raise DocumentError("'points' must be a list of [x, y] pairs of finite numbers")
+        fn = DependencyFunction(form=fn_raw["form"], a=fn_raw.get("a"), b=fn_raw.get("b"),
+                                points=tuple((x, y) for x, y in points))
+        ag.add_dependency(AttributeDependency(parent=raw["from"], dependent=raw["to"],
+                                              function=fn))
+
+    walk(add_node, doc.get("attributes", []), "attributes")
+    walk(add_dependency, doc.get("attribute_dependencies", []), "attribute_dependencies")
     return ag

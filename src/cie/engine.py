@@ -21,11 +21,11 @@ from pathlib import Path
 from . import causality, impact, inference
 from .attributes import load_attribute_graph
 from .causality import CausalityGraph, instantiate, refresh
-from .errors import DocumentError, EngineError
+from .errors import DocumentError, EngineError, parse_document
 from .inference import (ActiveSymptomSet, Diagnosis, Observation, ObservationState,
                         localize, parse_observations, threshold_index)
 from .knowledge_base import Codebook, load_codebook
-from .topology import Entity, EntityGraph, Relation, _parse_document, load_environment
+from .topology import Entity, EntityGraph, Relation, load_environment
 
 
 class EngineSnapshot:
@@ -124,7 +124,7 @@ class Engine:
     def from_documents(cls, env_document, codebook_document, **kwargs) -> Engine:
         """The environment is parsed once; its attribute section is checked, not kept."""
         cb = load_codebook(codebook_document)
-        env = _parse_document(env_document, "environment")
+        env = parse_document(env_document, "environment")
         graph = load_environment(env, codebook=cb)
         load_attribute_graph(env, graph, cb)
         return cls(graph, cb, **kwargs)
@@ -135,7 +135,8 @@ class Engine:
         cb_text = Path(codebook_path).read_text()
         engine = cls.from_documents(env_text, cb_text, **kwargs)
         if observations_path is not None:
-            engine.ingest(parse_observations(Path(observations_path).read_text()))
+            engine.ingest(parse_observations(Path(observations_path).read_text(),
+                                             engine._current_causality()))
         return engine
 
     @property

@@ -15,14 +15,14 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .engine import Engine
-from .errors import DocumentError
-from .inference import Observation, observation_from_dict
+from .errors import DocumentError, parse_document, walk
+from .inference import Observation, fit, observation_from_dict
 from .knowledge_base import is_finite_number
 from .service import METHODS, handle
-from .topology import _parse_document
 
 SCENARIO_SCHEMA = "scenario/1"
 USE_CASES = ("health_assessment", "impact_analysis", "root_cause", "remediation")
@@ -52,12 +52,9 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario file; unmapped queries fail here, loudly."""
     path = Path(path)
     try:
-        doc = _parse_document(path.read_text(), "scenario")
-    except DocumentError as exc:
-        raise DocumentError(str(exc), location=str(path)) from None
-    if doc.get("schema") != SCENARIO_SCHEMA:
-        raise DocumentError(f"expected schema {SCENARIO_SCHEMA!r}, got {doc.get('schema')!r}",
-                            location="schema")
+        doc = parse_document(path.read_text(), "scenario", SCENARIO_SCHEMA)
+    except DocumentError as exc:  # a whole-document refusal is located at the file
+        raise exc if exc.location else DocumentError(str(exc), location=str(path)) from None
     mode = doc.get("mode")
     if mode not in ("healthy", "active_fault"):
         raise DocumentError(f"mode must be 'healthy' or 'active_fault', got {mode!r}",
@@ -79,33 +76,40 @@ def load_scenario(path) -> Scenario:
     for key in ("environment", "codebook"):
         if not isinstance(doc.get(key), str):
             raise DocumentError(f"scenario requires a {key!r} file reference", location=key)
-    if not isinstance(doc.get("queries", []), list):
-        raise DocumentError("'queries' must be an array", location="queries")
 
-    queries = []
     seen_ids: set[str] = set()
-    for i, raw in enumerate(doc.get("queries", [])):
-        loc = f"queries[{i}]"
+
+    def parse_query(raw) -> ScenarioQuery:
         if not isinstance(raw, dict):
-            raise DocumentError("query must be an object", location=loc)
+            raise DocumentError("query must be an object")
         for key, kind in (("id", str), ("use_case", str), ("request", dict), ("expect", dict)):
             if not isinstance(raw.get(key), kind):
                 raise DocumentError(f"query {key!r} is missing or not "
-                                    f"{'a string' if kind is str else 'an object'}", location=loc)
+                                    f"{'a string' if kind is str else 'an object'}")
         if raw["id"] in seen_ids:
-            raise DocumentError(f"duplicate query id {raw['id']!r}", location=loc)
+            raise DocumentError(f"duplicate query id {raw['id']!r}")
         seen_ids.add(raw["id"])
         if raw["use_case"] not in USE_CASES:
             raise DocumentError(
-                f"query {raw['id']} has no rubric rule for use case {raw['use_case']!r}",
-                location=loc)
+                f"query {raw['id']} has no rubric rule for use case {raw['use_case']!r}")
         method = raw["request"].get("method")
         if method not in METHODS:
-            raise DocumentError(f"query {raw['id']} requests unknown method {method!r}",
-                                location=loc)
-        _check_expect(raw, mode, loc)
-        queries.append(ScenarioQuery(query_id=raw["id"], use_case=raw["use_case"],
-                                     request=raw["request"], expect=raw["expect"]))
+            raise DocumentError(f"query {raw['id']} requests unknown method {method!r}")
+        # The expect fields its rubric rule reads must have the shapes that rule needs.
+        expect = raw["expect"]
+        for key in ("impacted", "teams"):
+            if key in expect and not (isinstance(expect[key], list)
+                                      and all(isinstance(e, str) for e in expect[key])):
+                raise DocumentError(f"expect {key!r} must be a list of entity or team names")
+        if "aligned" in expect and not isinstance(expect["aligned"], dict):
+            raise DocumentError("expect 'aligned' must be an object from target to verdict")
+        if (raw["use_case"] == "root_cause" and mode == "active_fault"
+                and not expect.get("no_root_cause")):
+            for key in ("cause_name", "entity"):
+                if not isinstance(expect.get(key), str):
+                    raise DocumentError(f"root-cause expect requires a {key!r} string")
+        return ScenarioQuery(query_id=raw["id"], use_case=raw["use_case"],
+                             request=raw["request"], expect=raw["expect"])
 
     base = path.parent
     return Scenario(
@@ -116,48 +120,25 @@ def load_scenario(path) -> Scenario:
         background=background,
         fault_cause=fault.get("cause") if fault else None,
         fault_observations=fault_script,
-        queries=queries,
+        queries=walk(parse_query, doc.get("queries", []), "queries"),
     )
 
 
-def _check_expect(raw: dict, mode: str, loc: str):
-    """Raise DocumentError unless the expect fields its rubric rule reads
-    have the shapes that rule needs."""
-    expect = raw["expect"]
-    for key in ("impacted", "teams"):
-        if key in expect and not (isinstance(expect[key], list)
-                                  and all(isinstance(e, str) for e in expect[key])):
-            raise DocumentError(f"expect {key!r} must be a list of entity or team names",
-                                location=loc)
-    if "aligned" in expect and not isinstance(expect["aligned"], dict):
-        raise DocumentError("expect 'aligned' must be an object from target to verdict",
-                            location=loc)
-    if (raw["use_case"] == "root_cause" and mode == "active_fault"
-            and not expect.get("no_root_cause")):
-        for key in ("cause_name", "entity"):
-            if not isinstance(expect.get(key), str):
-                raise DocumentError(f"root-cause expect requires a {key!r} string",
-                                    location=loc)
-
-
 def _resolve_script(entries: list[dict], rng: random.Random, key: str) -> list[Observation]:
-    observations = []
-    for i, raw in enumerate(entries):
-        loc = f"{key}[{i}]"
+    def resolve(raw) -> Observation:
         if not isinstance(raw, dict):
-            raise DocumentError("observation must be an object", location=loc)
-        record = dict(raw)
-        value = record.get("value")
+            raise DocumentError("observation must be an object")
+        value = raw.get("value")
         if isinstance(value, dict):
             if "mean" not in value:
-                raise DocumentError("jittered value requires 'mean'", location=loc)
+                raise DocumentError("jittered value requires 'mean'")
             jitter = value.get("jitter", 0.0)
             if not (is_finite_number(value["mean"]) and is_finite_number(jitter)):
-                raise DocumentError("jittered 'mean' and 'jitter' must be finite numbers",
-                                    location=loc)
-            record["value"] = value["mean"] + rng.uniform(-jitter, jitter)
-        observations.append(observation_from_dict(record, location=loc))
-    return observations
+                raise DocumentError("jittered 'mean' and 'jitter' must be finite numbers")
+            raw = {**raw, "value": value["mean"] + rng.uniform(-jitter, jitter)}
+        return observation_from_dict(raw)
+
+    return walk(resolve, entries, key)
 
 
 def background_observations(scenario: Scenario, seed: int = 0) -> list[Observation]:
@@ -306,9 +287,12 @@ def run_scenario(scenario: Scenario, engine: Engine | None = None,
             raise DocumentError(f"cause {scenario.fault_cause!r} absent from causality graph",
                                 location="fault")
     engine.clear_observations()
-    engine.ingest(background_observations(scenario, seed=seed))
+    # Each entry is checked against the model first, so a misfit is located.
+    fits = partial(fit, engine.snapshot().causality)
+    engine.ingest(walk(fits, background_observations(scenario, seed=seed),
+                       "background_observations"))
     if scenario.mode == "active_fault":
-        engine.ingest(inject_fault(scenario, seed=seed))
+        engine.ingest(walk(fits, inject_fault(scenario, seed=seed), "fault.observations"))
 
     results: list[QueryResult] = []
     traces: list[QueryTrace] = []

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .causality import CausalityGraph, instance_id
-from .errors import DocumentError, EngineError, UnknownIdError
+from .errors import DocumentError, EngineError, UnknownIdError, located
 from .knowledge_base import is_finite_number
 
 DEFAULT_LEAK = 1e-3
@@ -242,33 +242,36 @@ def _logsumexp(values: list[float]) -> float:
 
 # -- observation stream files (JSON lines) ----------------------------------
 
-def parse_observations(text: str) -> list[Observation]:
-    """Parse a newline-delimited observation stream."""
-    observations = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+def fit(cg: CausalityGraph, observation: Observation) -> Observation:
+    """``observation``, refused as ``Engine.ingest`` would unless it fits ``cg``."""
+    validate_key(cg, (observation.target, observation.attribute, observation.symptom))
+    return observation
+
+
+def parse_observations(text: str, cg: CausalityGraph | None = None) -> list[Observation]:
+    """Parse a newline-delimited observation stream; a refusal is located at
+    its line. Given ``cg``, each observation must also fit that model."""
+    def parse(line: str) -> Observation:
         try:
-            raw = json.loads(line)
+            raw = json.loads(line.strip())
         except json.JSONDecodeError as exc:
-            raise DocumentError(f"malformed observation: {exc}",
-                                location=f"line {lineno}") from None
-        observations.append(observation_from_dict(raw, location=f"line {lineno}"))
-    return observations
+            raise DocumentError(f"malformed observation: {exc}") from None
+        observation = observation_from_dict(raw)
+        return observation if cg is None else fit(cg, observation)
+
+    return [located(f"line {lineno}", parse, line)
+            for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
 def observation_from_dict(raw: dict, location: str | None = None) -> Observation:
+    if location is not None:
+        return located(location, observation_from_dict, raw)
     if not isinstance(raw, dict) or "entity" not in raw or "tick" not in raw:
-        raise DocumentError("observation requires 'entity' and 'tick'", location=location)
+        raise DocumentError("observation requires 'entity' and 'tick'")
     if not isinstance(raw["entity"], str):
-        raise DocumentError("'entity' must be a string", location=location)
+        raise DocumentError("'entity' must be a string")
     for key in ("attribute", "symptom"):
         if raw.get(key) is not None and not isinstance(raw[key], str):
-            raise DocumentError(f"{key!r} must be a string", location=location)
-    try:
-        return Observation(target=raw["entity"], tick=raw["tick"],
-                           attribute=raw.get("attribute"), value=raw.get("value"),
-                           symptom=raw.get("symptom"))
-    except DocumentError as exc:
-        raise DocumentError(str(exc), location=location) from None
+            raise DocumentError(f"{key!r} must be a string")
+    return Observation(target=raw["entity"], tick=raw["tick"], attribute=raw.get("attribute"),
+                       value=raw.get("value"), symptom=raw.get("symptom"))

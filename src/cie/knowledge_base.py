@@ -12,8 +12,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import DocumentError
-from .topology import RELATION_KINDS, _parse_document
+from .errors import DocumentError, parse_document, walk
+from .topology import RELATION_KINDS
 
 CODEBOOK_SCHEMA = "codebook/1"
 TRAVERSALS = ("forward", "reverse")
@@ -84,9 +84,9 @@ class Codebook:
         self.version = version
         self._types_by_name: dict[str, EntityTypeDef] = {}
         self._symptoms_by_name: dict[str, SymptomDef] = {}
+        self._causes_by_name: dict[str, RootCauseDef] = {}
         self.rules_by_id: dict[str, PropagationRule] = {}
         self._validate()
-        self._causes_by_name = {c.cause_name: c for c in self.root_causes}
         # Step tables for the rule-closure traversal: symptom -> ((relation
         # kind, rule, adjacency direction, next type, next symptom), ...) in
         # RELATION_KINDS order, then by rule id. ``steps`` follows each rule
@@ -112,68 +112,81 @@ class Codebook:
                 self.local_causes[name] += (c,)
 
     def _validate(self):
-        types = self._types_by_name
-        for t in self.types:
+        types, symptoms = self._types_by_name, self._symptoms_by_name
+        causes, rules = self._causes_by_name, self.rules_by_id
+
+        def check_type(t: EntityTypeDef):
+            _check_strings(name=t.type_name)
+            if not all(isinstance(a, str) for a in t.attribute_decls):
+                raise DocumentError("'attributes' must be a list of strings")
             if t.type_name in types:
-                raise DocumentError(f"duplicate type {t.type_name!r}", location=t.type_name)
+                raise DocumentError(f"duplicate type {t.type_name!r}")
             if len(set(t.attribute_decls)) != len(t.attribute_decls):
-                raise DocumentError("duplicate attribute declaration", location=t.type_name)
+                raise DocumentError("duplicate attribute declaration")
             types[t.type_name] = t
 
-        symptoms = self._symptoms_by_name
-        for s in self.symptoms:
-            loc = s.symptom_name
+        def check_symptom(s: SymptomDef):
+            _check_strings(name=s.symptom_name, applies_to=s.applies_to)
             if s.symptom_name in symptoms:
-                raise DocumentError(f"duplicate symptom {s.symptom_name!r}", location=loc)
+                raise DocumentError(f"duplicate symptom {s.symptom_name!r}")
             symptoms[s.symptom_name] = s
             if s.applies_to not in types:
-                raise DocumentError(f"unknown type {s.applies_to!r}", location=loc)
+                raise DocumentError(f"unknown type {s.applies_to!r}")
             act = s.activation
             if act.kind == "threshold":
                 if act.attribute not in types[s.applies_to].attribute_decls:
                     raise DocumentError(
                         f"threshold references attribute {act.attribute!r} not declared "
-                        f"on type {s.applies_to!r}", location=loc)
+                        f"on type {s.applies_to!r}")
                 if not isinstance(act.comparator, str) or act.comparator not in COMPARATORS:
-                    raise DocumentError(f"unknown comparator {act.comparator!r}", location=loc)
+                    raise DocumentError(f"unknown comparator {act.comparator!r}")
                 if not is_finite_number(act.threshold):
-                    raise DocumentError("threshold must be a finite number", location=loc)
+                    raise DocumentError("threshold must be a finite number")
             elif act.kind != "event":
-                raise DocumentError(f"unknown activation kind {act.kind!r}", location=loc)
+                raise DocumentError(f"unknown activation kind {act.kind!r}")
 
-        cause_names: set[str] = set()
-        for c in self.root_causes:
-            loc = c.cause_name
-            if c.cause_name in cause_names:
-                raise DocumentError(f"duplicate root cause {c.cause_name!r}", location=loc)
-            cause_names.add(c.cause_name)
+        def check_cause(c: RootCauseDef):
+            _check_strings(name=c.cause_name, applies_to=c.applies_to)
+            if c.cause_name in causes:
+                raise DocumentError(f"duplicate root cause {c.cause_name!r}")
+            causes[c.cause_name] = c
             if c.applies_to not in types:
-                raise DocumentError(f"unknown type {c.applies_to!r}", location=loc)
-            _check_probability(c.prior, "prior", loc)
-            for name, prob in c.local_symptoms:
+                raise DocumentError(f"unknown type {c.applies_to!r}")
+            _check_probability(c.prior, "prior")
+
+            def check_local(assoc: tuple[str, float]):
+                name, prob = assoc
+                _check_strings(symptom=name)
                 sdef = symptoms.get(name)
                 if sdef is None:
-                    raise DocumentError(f"unknown symptom {name!r}", location=loc)
+                    raise DocumentError(f"unknown symptom {name!r}")
                 if sdef.applies_to != c.applies_to:
                     raise DocumentError(
                         f"local symptom {name!r} applies to {sdef.applies_to!r}, "
-                        f"not to the cause's type {c.applies_to!r}", location=loc)
-                _check_probability(prob, f"P({name}|{c.cause_name})", loc)
+                        f"not to the cause's type {c.applies_to!r}")
+                _check_probability(prob, f"P({name}|{c.cause_name})")
 
-        rules = self.rules_by_id
-        for r in self.rules:
-            loc = r.rule_id
+            walk(check_local, c.local_symptoms, "local_symptoms")
+
+        def check_rule(r: PropagationRule):
+            _check_strings(id=r.rule_id, from_symptom=r.from_symptom, relation=r.over_relation,
+                           traversal=r.traversal, to_symptom=r.to_symptom)
             if r.rule_id in rules:
-                raise DocumentError(f"duplicate rule id {r.rule_id!r}", location=loc)
+                raise DocumentError(f"duplicate rule id {r.rule_id!r}")
             rules[r.rule_id] = r
             for name in (r.from_symptom, r.to_symptom):
                 if name not in symptoms:
-                    raise DocumentError(f"unknown symptom {name!r}", location=loc)
+                    raise DocumentError(f"unknown symptom {name!r}")
             if r.over_relation not in RELATION_KINDS:
-                raise DocumentError(f"unknown relation kind {r.over_relation!r}", location=loc)
+                raise DocumentError(f"unknown relation kind {r.over_relation!r}")
             if r.traversal not in TRAVERSALS:
-                raise DocumentError(f"unknown traversal {r.traversal!r}", location=loc)
-            _check_probability(r.attenuation, "attenuation", loc)
+                raise DocumentError(f"unknown traversal {r.traversal!r}")
+            _check_probability(r.attenuation, "attenuation")
+
+        walk(check_type, self.types, "types")
+        walk(check_symptom, self.symptoms, "symptoms")
+        walk(check_cause, self.root_causes, "root_causes")
+        walk(check_rule, self.rules, "propagation_rules")
 
     # -- lookups -------------------------------------------------------------
 
@@ -219,91 +232,64 @@ def is_finite_number(value) -> bool:
             or isinstance(value, float) and math.isfinite(value))
 
 
-def _check_strings(raw: dict, keys, location: str):
-    """Raise DocumentError unless each of ``keys`` present in ``raw`` is a string."""
-    for key in keys:
-        if key in raw and not isinstance(raw[key], str):
-            raise DocumentError(f"{key!r} must be a string", location=location)
+def _check_strings(**fields):
+    """Raise DocumentError unless each field, named as in a document, is a string."""
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            raise DocumentError(f"{key!r} must be a string")
 
 
-def _check_probability(value, what: str, location: str):
+def _check_probability(value, what: str):
     if not is_finite_number(value):
-        raise DocumentError(f"{what} must be a number", location=location)
+        raise DocumentError(f"{what} must be a number")
     if not 0.0 < value <= 1.0:
-        raise DocumentError(f"{what} = {value} outside (0, 1]", location=location)
+        raise DocumentError(f"{what} = {value} outside (0, 1]")
 
 
 def load_codebook(document) -> Codebook:
     """Parse and validate a ``codebook/1`` document (JSON text or dict)."""
-    doc = _parse_document(document, "codebook")
-    if doc.get("schema") != CODEBOOK_SCHEMA:
-        raise DocumentError(f"expected schema {CODEBOOK_SCHEMA!r}, got {doc.get('schema')!r}",
-                            location="schema")
-    for key in ("types", "symptoms", "root_causes", "propagation_rules"):
-        if not isinstance(doc.get(key, []), list):
-            raise DocumentError(f"{key!r} must be an array", location=key)
+    doc = parse_document(document, "codebook", CODEBOOK_SCHEMA)
 
-    types = []
-    for i, raw in enumerate(doc.get("types", [])):
-        loc = f"types[{i}]"
+    def parse_type(raw) -> EntityTypeDef:
         if not isinstance(raw, dict) or "name" not in raw:
-            raise DocumentError("type requires 'name'", location=loc)
-        _check_strings(raw, ("name",), loc)
+            raise DocumentError("type requires 'name'")
         attributes = raw.get("attributes", [])
-        if not (isinstance(attributes, list) and all(isinstance(a, str) for a in attributes)):
-            raise DocumentError("'attributes' must be a list of strings", location=loc)
-        types.append(EntityTypeDef(type_name=raw["name"],
-                                   attribute_decls=tuple(attributes)))
+        if not isinstance(attributes, list):
+            raise DocumentError("'attributes' must be a list of strings")
+        return EntityTypeDef(type_name=raw["name"], attribute_decls=tuple(attributes))
 
-    symptoms = []
-    for i, raw in enumerate(doc.get("symptoms", [])):
-        loc = f"symptoms[{i}]"
+    def parse_symptom(raw) -> SymptomDef:
         if not isinstance(raw, dict) or "name" not in raw or "applies_to" not in raw:
-            raise DocumentError("symptom requires 'name' and 'applies_to'", location=loc)
-        _check_strings(raw, ("name", "applies_to"), loc)
-        act_raw = raw.get("activation", {"kind": "event"})
-        if not isinstance(act_raw, dict) or "kind" not in act_raw:
-            raise DocumentError("activation requires 'kind'", location=loc)
-        if act_raw["kind"] == "threshold":
-            activation = ActivationSpec(kind="threshold",
-                                        attribute=act_raw.get("attribute"),
-                                        comparator=act_raw.get("comparator"),
-                                        threshold=act_raw.get("threshold"))
-        else:
-            activation = ActivationSpec(kind=act_raw["kind"])
-        symptoms.append(SymptomDef(symptom_name=raw["name"],
-                                   applies_to=raw["applies_to"], activation=activation))
+            raise DocumentError("symptom requires 'name' and 'applies_to'")
+        act = raw.get("activation", {"kind": "event"})
+        if not isinstance(act, dict) or "kind" not in act:
+            raise DocumentError("activation requires 'kind'")
+        fields = ("attribute", "comparator", "threshold") if act["kind"] == "threshold" else ()
+        return SymptomDef(symptom_name=raw["name"], applies_to=raw["applies_to"],
+                          activation=ActivationSpec(act["kind"], *map(act.get, fields)))
 
-    causes = []
-    for i, raw in enumerate(doc.get("root_causes", [])):
-        loc = f"root_causes[{i}]"
+    def parse_local_symptom(raw) -> tuple:
+        if not isinstance(raw, dict) or "symptom" not in raw or "probability" not in raw:
+            raise DocumentError("local symptom requires 'symptom' and 'probability'")
+        return raw["symptom"], raw["probability"]
+
+    def parse_cause(raw) -> RootCauseDef:
         if not isinstance(raw, dict) or "name" not in raw or "applies_to" not in raw:
-            raise DocumentError("root cause requires 'name' and 'applies_to'", location=loc)
-        _check_strings(raw, ("name", "applies_to"), loc)
-        if not isinstance(raw.get("local_symptoms", []), list):
-            raise DocumentError("'local_symptoms' must be an array", location=loc)
-        local = []
-        for j, assoc in enumerate(raw.get("local_symptoms", [])):
-            if not isinstance(assoc, dict) or "symptom" not in assoc or "probability" not in assoc:
-                raise DocumentError("local symptom requires 'symptom' and 'probability'",
-                                    location=f"{loc}.local_symptoms[{j}]")
-            _check_strings(assoc, ("symptom",), f"{loc}.local_symptoms[{j}]")
-            local.append((assoc["symptom"], assoc["probability"]))
-        causes.append(RootCauseDef(cause_name=raw["name"], applies_to=raw["applies_to"],
-                                   local_symptoms=tuple(local),
-                                   prior=raw.get("prior", DEFAULT_PRIOR)))
+            raise DocumentError("root cause requires 'name' and 'applies_to'")
+        local = walk(parse_local_symptom, raw.get("local_symptoms", []), "local_symptoms")
+        return RootCauseDef(cause_name=raw["name"], applies_to=raw["applies_to"],
+                            local_symptoms=tuple(local), prior=raw.get("prior", DEFAULT_PRIOR))
 
-    rules = []
-    for i, raw in enumerate(doc.get("propagation_rules", [])):
-        loc = f"propagation_rules[{i}]"
+    def parse_rule(raw) -> PropagationRule:
         required = {"id", "from_symptom", "relation", "traversal", "to_symptom", "attenuation"}
         if not isinstance(raw, dict) or not required <= set(raw):
-            raise DocumentError(f"rule requires {sorted(required)}", location=loc)
-        _check_strings(raw, ("id", "from_symptom", "relation", "traversal", "to_symptom"), loc)
-        rules.append(PropagationRule(rule_id=raw["id"], from_symptom=raw["from_symptom"],
-                                     over_relation=raw["relation"], traversal=raw["traversal"],
-                                     to_symptom=raw["to_symptom"],
-                                     attenuation=raw["attenuation"]))
+            raise DocumentError(f"rule requires {sorted(required)}")
+        return PropagationRule(rule_id=raw["id"], from_symptom=raw["from_symptom"],
+                               over_relation=raw["relation"], traversal=raw["traversal"],
+                               to_symptom=raw["to_symptom"], attenuation=raw["attenuation"])
 
-    return Codebook(tuple(types), tuple(causes), tuple(symptoms), tuple(rules),
-                    version=str(doc.get("version", "0")))
+    types = tuple(walk(parse_type, doc.get("types", []), "types"))
+    symptoms = tuple(walk(parse_symptom, doc.get("symptoms", []), "symptoms"))
+    causes = tuple(walk(parse_cause, doc.get("root_causes", []), "root_causes"))
+    rules = tuple(walk(parse_rule, doc.get("propagation_rules", []), "propagation_rules"))
+    return Codebook(types, causes, symptoms, rules, version=str(doc.get("version", "0")))

@@ -12,11 +12,10 @@ the ``Relation`` set is derived from it on first read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DocumentError, DuplicateIdError, UnknownIdError
+from .errors import DocumentError, DuplicateIdError, UnknownIdError, parse_document, walk
 
 RELATION_KINDS = ("conn", "layer", "comp")
 HOSTING_KINDS = ("layer", "comp")  # the hosting stack: runs atop, contains
@@ -193,58 +192,48 @@ def load_environment(document, codebook=None) -> EntityGraph:
     eagerly; otherwise type validation happens at instantiation time.
     Returned graph has revision 0.
     """
-    doc = _parse_document(document, "environment")
-    if doc.get("schema") != ENV_SCHEMA:
-        raise DocumentError(f"expected schema {ENV_SCHEMA!r}, got {doc.get('schema')!r}",
-                            location="schema")
-    for key in ("entities", "relations"):
-        if not isinstance(doc.get(key, []), list):
-            raise DocumentError(f"{key!r} must be an array", location=key)
+    doc = parse_document(document, "environment", ENV_SCHEMA)
 
     type_names = codebook.type_names() if codebook is not None else None
     entities: dict[str, Entity] = {}
-    for i, raw in enumerate(doc.get("entities", [])):
-        try:
-            if not isinstance(raw, dict) or "id" not in raw or "type" not in raw:
-                raise DocumentError("entity requires 'id' and 'type'")
-            eid, etype, team = raw["id"], raw["type"], raw.get("team")
-            name = raw.get("name", eid)
-            if not (isinstance(eid, str) and isinstance(etype, str) and isinstance(name, str)
-                    and (team is None or isinstance(team, str))):
-                raise DocumentError("'id', 'type', 'name' and 'team' must be strings "
-                                    "('team' may be null)")
-            if eid in entities:
-                raise DocumentError(f"duplicate entity id {eid!r}")
-            if type_names is not None and etype not in type_names:
-                raise DocumentError(f"unknown entity_type {etype!r} for {eid!r}")
-            metadata = raw.get("metadata", {})
-            if not (isinstance(metadata, dict)
-                    and all(isinstance(k, str) and isinstance(v, str)
-                            for k, v in metadata.items())):
-                raise DocumentError("metadata must map strings to strings")
-        except DocumentError as exc:
-            raise DocumentError(str(exc), location=f"entities[{i}]") from None
+    relations: set[tuple[str, str, str]] = set()
+
+    def add_entity(raw):
+        if not isinstance(raw, dict) or "id" not in raw or "type" not in raw:
+            raise DocumentError("entity requires 'id' and 'type'")
+        eid, etype, team = raw["id"], raw["type"], raw.get("team")
+        name = raw.get("name", eid)
+        if not (isinstance(eid, str) and isinstance(etype, str) and isinstance(name, str)
+                and (team is None or isinstance(team, str))):
+            raise DocumentError("'id', 'type', 'name' and 'team' must be strings "
+                                "('team' may be null)")
+        if eid in entities:
+            raise DocumentError(f"duplicate entity id {eid!r}")
+        if type_names is not None and etype not in type_names:
+            raise DocumentError(f"unknown entity_type {etype!r} for {eid!r}")
+        metadata = raw.get("metadata", {})
+        if not (isinstance(metadata, dict)
+                and all(isinstance(k, str) and isinstance(v, str)
+                        for k, v in metadata.items())):
+            raise DocumentError("metadata must map strings to strings")
         entities[eid] = Entity(id=eid, name=name, entity_type=etype, owner_team=team,
                                metadata=metadata)
 
-    relations: set[tuple[str, str, str]] = set()
-    for i, raw in enumerate(doc.get("relations", [])):
-        try:
-            if not isinstance(raw, dict) or not {"source", "target", "kind"} <= raw.keys():
-                raise DocumentError("relation requires 'source', 'target', 'kind'")
-            source, target, kind = rel = raw["source"], raw["target"], raw["kind"]
-            for endpoint in (source, target):
-                if not isinstance(endpoint, str) or endpoint not in entities:
-                    raise DocumentError(
-                        f"relation endpoint {endpoint!r} is not a declared entity")
-            if kind not in RELATION_KINDS or source == target:
-                Relation(source, target, kind)  # raises the message for either fault
-            if rel in relations:
-                raise DocumentError(f"duplicate relation ({source}, {target}, {kind})")
-        except DocumentError as exc:
-            raise DocumentError(str(exc), location=f"relations[{i}]") from None
+    def add_relation(raw):
+        if not isinstance(raw, dict) or not {"source", "target", "kind"} <= raw.keys():
+            raise DocumentError("relation requires 'source', 'target', 'kind'")
+        source, target, kind = rel = raw["source"], raw["target"], raw["kind"]
+        for endpoint in (source, target):
+            if not isinstance(endpoint, str) or endpoint not in entities:
+                raise DocumentError(f"relation endpoint {endpoint!r} is not a declared entity")
+        if kind not in RELATION_KINDS or source == target:
+            Relation(source, target, kind)  # raises the message for either fault
+        if rel in relations:
+            raise DocumentError(f"duplicate relation ({source}, {target}, {kind})")
         relations.add(rel)
 
+    walk(add_entity, doc.get("entities", []), "entities")
+    walk(add_relation, doc.get("relations", []), "relations")
     return EntityGraph._derived(entities, 0, _index(relations))
 
 
@@ -258,13 +247,3 @@ def _index(relations) -> dict:
     return {direction: {key: tuple(sorted(ids)) for key, ids in by_key.items()}
             for direction, by_key in (("out", out), ("in", into))}
 
-
-def _parse_document(document, what: str) -> dict:
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"malformed {what} document: {exc}") from None
-    if not isinstance(document, dict):
-        raise DocumentError(f"{what} document must be a JSON object")
-    return document

@@ -299,6 +299,10 @@ def _small_environment():
      "attribute 'z' not declared on type 'svc'"),
     (lambda d: d["attributes"].append({"entity": "a", "attribute": "x"}), "attributes[2]",
      "duplicate attribute 'a:x'"),
+    (lambda d: d["attributes"][1].update(unit=["ms"]), "attributes[1]",
+     "'unit' must be a string"),
+    (lambda d: d["attributes"][0].update(unit={"u": 1}), "attributes[0]",
+     "'unit' must be a string"),
     (lambda d: d["attribute_dependencies"][0].pop("function"), "attribute_dependencies[0]",
      "dependency requires 'from', 'to', 'function'"),
     (lambda d: d["attribute_dependencies"][0].update(function={"a": 1}),
@@ -319,7 +323,7 @@ def _small_environment():
      "attribute_dependencies[0]", "unknown attribute 'b:y'"),
 ], ids=["attributes-not-array", "dependencies-not-array", "attribute-without-name",
         "attribute-not-object", "unknown-entity", "undeclared-attribute",
-        "duplicate-attribute", "dependency-without-function", "function-without-form",
+        "duplicate-attribute", "unit-list", "unit-object", "dependency-without-function", "function-without-form",
         "unknown-form", "table-x-not-increasing", "table-one-point", "duplicate-dependency",
         "unknown-parent", "unknown-dependent"])
 def test_attribute_refusals_are_located(edit, location, message):

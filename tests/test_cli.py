@@ -263,3 +263,17 @@ def test_query_rejects_malformed_observations_cleanly(runner, shop_env_path,
     assert result.exit_code == 1
     assert "line 1" in result.output
     assert not isinstance(result.exception, TypeError)
+
+
+def test_query_locates_an_observation_that_does_not_fit_the_model(runner, shop_env_path,
+                                                                  shop_codebook_path,
+                                                                  tmp_path):
+    stream = tmp_path / "obs.jsonl"
+    stream.write_text('{"tick": 1, "entity": "payment", "attribute": "error_rate", '
+                      '"value": 0.001}\n\n{"tick": 2, "entity": "ghost", "symptom": "s"}\n')
+    result = runner.invoke(main, ["query", "--env", str(shop_env_path),
+                                  "--codebook", str(shop_codebook_path),
+                                  "--observations", str(stream),
+                                  "--method", "get_symptoms"])
+    assert result.exit_code == 1
+    assert "Error: line 3: observation targets unknown entity 'ghost'" in result.output

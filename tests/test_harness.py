@@ -125,6 +125,26 @@ def test_malformed_scenario_is_a_located_document_error(tmp_path, edit, location
     assert info.value.location == (location or str(bad))
 
 
+@pytest.mark.parametrize("script, index, field, message", [
+    ("fault", 3, "entity", "observation targets unknown entity 'x'"),
+    ("background_observations", 1, "attribute",
+     "attribute 'x' not declared for type 'payment-service'"),
+])
+def test_script_entry_that_does_not_fit_the_model_is_located(tmp_path, script, index,
+                                                             field, message):
+    doc = json.loads(data.scenario_path("active-fault").read_text())
+    doc["environment"] = str(data.path("astronomy_shop_env.json"))
+    doc["codebook"] = str(data.path("astronomy_shop_codebook.json"))
+    entries = doc["fault"]["observations"] if script == "fault" else doc[script]
+    entries[index][field] = "x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DocumentError) as info:
+        run_scenario(load_scenario(bad))
+    location = f"{'fault.observations' if script == 'fault' else script}[{index}]"
+    assert str(info.value) == f"{location}: {message}"
+
+
 def test_inject_fault_healthy_mode_is_an_error(healthy_scenario):
     with pytest.raises(DocumentError, match="active_fault"):
         inject_fault(healthy_scenario)

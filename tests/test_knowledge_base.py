@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cie.errors import DocumentError
-from cie.knowledge_base import Codebook, load_codebook
+from cie.knowledge_base import Codebook, EntityTypeDef, load_codebook
 
 from genmodels import random_codebook, render_codebook
 
@@ -223,32 +223,36 @@ def _edited(edit):
 
 
 @pytest.mark.parametrize("edit, location, message", [
-    (lambda d: d["types"].append({"name": "svc"}), "svc", "duplicate type 'svc'"),
-    (lambda d: d["types"][0]["attributes"].append("error_rate"), "svc",
+    (lambda d: d["types"].append({"name": "svc"}), "types[1]", "duplicate type 'svc'"),
+    (lambda d: d["types"][0]["attributes"].append("error_rate"), "types[0]",
      "duplicate attribute declaration"),
-    (lambda d: d["root_causes"].append(dict(d["root_causes"][0])), "bug",
+    (lambda d: d["root_causes"].append(dict(d["root_causes"][0])), "root_causes[1]",
      "duplicate root cause 'bug'"),
-    (lambda d: d["propagation_rules"].extend([RULE, dict(RULE)]), "r",
+    (lambda d: d["propagation_rules"].extend([RULE, dict(RULE)]), "propagation_rules[1]",
      "duplicate rule id 'r'"),
-    (lambda d: d["symptoms"][0].update(applies_to="db"), "errors", "unknown type 'db'"),
-    (lambda d: d["root_causes"][0].update(applies_to="db"), "bug", "unknown type 'db'"),
-    (lambda d: d["root_causes"][0]["local_symptoms"][0].update(symptom="phantom"), "bug",
+    (lambda d: d["symptoms"][0].update(applies_to="db"), "symptoms[0]", "unknown type 'db'"),
+    (lambda d: d["root_causes"][0].update(applies_to="db"), "root_causes[0]", "unknown type 'db'"),
+    (lambda d: d["root_causes"][0]["local_symptoms"][0].update(symptom="phantom"),
+     "root_causes[0].local_symptoms[0]",
      "unknown symptom 'phantom'"),
-    (lambda d: d["propagation_rules"].append({**RULE, "from_symptom": "phantom"}), "r",
+    (lambda d: d["propagation_rules"].append({**RULE, "from_symptom": "phantom"}),
+     "propagation_rules[0]",
      "unknown symptom 'phantom'"),
-    (lambda d: d["symptoms"][0]["activation"].update(comparator="!="), "errors",
+    (lambda d: d["symptoms"][0]["activation"].update(comparator="!="), "symptoms[0]",
      "unknown comparator '!='"),
-    (lambda d: d["symptoms"][0]["activation"].update(comparator=[">"]), "errors",
+    (lambda d: d["symptoms"][0]["activation"].update(comparator=[">"]), "symptoms[0]",
      "unknown comparator ['>']"),
-    (lambda d: d["symptoms"][0]["activation"].pop("comparator"), "errors",
+    (lambda d: d["symptoms"][0]["activation"].pop("comparator"), "symptoms[0]",
      "unknown comparator None"),
-    (lambda d: d["symptoms"][0].update(activation={"kind": "sometimes"}), "errors",
+    (lambda d: d["symptoms"][0].update(activation={"kind": "sometimes"}), "symptoms[0]",
      "unknown activation kind 'sometimes'"),
     (lambda d: d["symptoms"][0].update(activation={"attribute": "error_rate"}), "symptoms[0]",
      "activation requires 'kind'"),
-    (lambda d: d["propagation_rules"].append({**RULE, "relation": "owns"}), "r",
+    (lambda d: d["propagation_rules"].append({**RULE, "relation": "owns"}),
+     "propagation_rules[0]",
      "unknown relation kind 'owns'"),
-    (lambda d: d["propagation_rules"].append({**RULE, "traversal": "sideways"}), "r",
+    (lambda d: d["propagation_rules"].append({**RULE, "traversal": "sideways"}),
+     "propagation_rules[0]",
      "unknown traversal 'sideways'"),
     (lambda d: d.update(types={}), "types", "'types' must be an array"),
     (lambda d: d.update(symptoms="errors"), "symptoms", "'symptoms' must be an array"),
@@ -261,7 +265,7 @@ def _edited(edit):
      "symptom requires 'name' and 'applies_to'"),
     (lambda d: d["root_causes"][0].pop("name"), "root_causes[0]",
      "root cause requires 'name' and 'applies_to'"),
-    (lambda d: d["root_causes"][0].update(local_symptoms={}), "root_causes[0]",
+    (lambda d: d["root_causes"][0].update(local_symptoms={}), "root_causes[0].local_symptoms",
      "'local_symptoms' must be an array"),
     (lambda d: d["root_causes"][0]["local_symptoms"][0].pop("probability"),
      "root_causes[0].local_symptoms[0]", "local symptom requires 'symptom' and 'probability'"),
@@ -290,4 +294,13 @@ def test_codebook_built_directly_refuses_a_duplicate_type():
     cb = load_codebook(MINIMAL)
     with pytest.raises(DocumentError, match="duplicate type 'svc'") as info:
         Codebook(cb.types + cb.types, cb.root_causes, cb.symptoms, cb.rules)
-    assert info.value.location == "svc"
+    assert info.value.location == "types[1]"
+
+
+def test_codebook_built_directly_refuses_a_non_string_field():
+    with pytest.raises(DocumentError) as info:
+        Codebook((EntityTypeDef(["svc"]),), (), (), ())
+    assert str(info.value) == "types[0]: 'name' must be a string"
+    with pytest.raises(DocumentError) as info:
+        Codebook((EntityTypeDef("svc", (["x"],)),), (), (), ())
+    assert str(info.value) == "types[0]: 'attributes' must be a list of strings"
