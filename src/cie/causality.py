@@ -4,10 +4,12 @@ Instantiates the codebook over a topology snapshot: one root-cause instance
 and one symptom instance per matching (definition, entity) pair, plus direct
 cause→symptom edges. Multi-hop symptom propagation is compiled into direct
 edges whose probability is the local association probability multiplied by
-one attenuation factor per rule hop; the hop chain is stored on the edge so
-every probability can be recomputed and audited. When several derivations
-reach the same (cause, symptom) pair the maximum-probability one is kept,
-with fewest-hops-then-lexicographic tie-breaks for determinism. The rule
+one attenuation factor per rule hop. Each edge stores its derivation, the
+walk ``(r1, e1, ..., rk, ek)`` from the cause's host ``e0`` in which rule
+``ri`` carries the symptom from ``e(i-1)`` to ``ei``, so every probability
+can be recomputed and audited. When several derivations reach the same
+(cause, symptom) pair the maximum-probability one is kept, with
+fewest-hops-then-lexicographic tie-breaks for determinism. The rule
 closure behind it (``rule_closure``) also serves the blast radius in
 ``impact``, ordered by hop count instead.
 
@@ -52,23 +54,15 @@ class SymptomInstance:
 
 
 @dataclass(frozen=True, slots=True)
-class DerivationHop:
-    rule_id: str
-    source: str
-    target: str
-    kind: str
-
-
-@dataclass(frozen=True, slots=True)
 class CausalEdge:
     cause_id: str
     symptom_id: str
     probability: float
-    # Audit trail: probability == fold of local_probability over the hops'
-    # attenuations, applied left to right.
+    # Audit trail: probability == fold of local_probability over the
+    # attenuations of the derivation's rules, applied left to right.
     origin_symptom: str
     local_probability: float
-    derivation: tuple[DerivationHop, ...] = ()
+    derivation: tuple[str, ...] = ()  # the walk (r1, e1, ..., rk, ek)
 
 
 class CausalityGraph:
@@ -222,7 +216,7 @@ def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
     ``start_probability`` times the attenuations applied after the start,
     folded left to right. Returns ``(settled, truncated)``: ``settled`` maps
     each state, in pop order, to (probability, start derivation + the
-    DerivationHops taken), and ``truncated`` holds the states whose
+    (rule id, entity) steps taken), and ``truncated`` holds the states whose
     expansion hit ``max_depth``.
     ``steps`` is ``cb.steps`` unless given; ``cb.back_steps`` walks the
     rules backwards, so a state is settled when the rules lead from it to
@@ -234,8 +228,8 @@ def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
     heap = [((-p0, 0, ent, sym, i) if by_probability else (0, i), 0, p0, sym, ent, hops)
             for i, (sym, ent, hops) in enumerate(starts)]
     heapq.heapify(heap)
-    counter = len(heap)  # unique key tail keeps unorderable hop tuples out of comparisons
-    settled: dict[tuple[str, str], tuple[float, tuple[DerivationHop, ...]]] = {}
+    counter = len(heap)  # unique key tail: ties go to push order, the rest is never compared
+    settled: dict[tuple[str, str], tuple[float, tuple[str, ...]]] = {}
     truncated: set[tuple[str, str]] = set()
     while heap:
         _, n_hops, prob, sym, ent, hops = heapq.heappop(heap)
@@ -249,15 +243,12 @@ def rule_closure(graph: EntityGraph, cb: Codebook, entity_types: dict[str, str],
                 if n_hops >= max_depth:
                     truncated.add((sym, ent))
                     continue
-                if direction == "out":
-                    hop = DerivationHop(rule.rule_id, ent, nbr, kind)
-                else:
-                    hop = DerivationHop(rule.rule_id, nbr, ent, kind)
                 counter += 1
                 p = prob * rule.attenuation
                 key = ((-p, n_hops + 1, nbr, next_sym, counter) if by_probability
                        else (n_hops + 1, counter))
-                heapq.heappush(heap, (key, n_hops + 1, p, next_sym, nbr, hops + (hop,)))
+                heapq.heappush(heap, (key, n_hops + 1, p, next_sym, nbr,
+                                      hops + (rule.rule_id, nbr)))
     return settled, truncated
 
 
@@ -332,14 +323,27 @@ def refresh(cg: CausalityGraph, graph: EntityGraph, cb: Codebook,
 def recompute_edge_probability(edge: CausalEdge, cb: Codebook) -> float:
     """Re-fold an edge's probability from its stored derivation (audit path)."""
     prob = edge.local_probability
-    for hop in edge.derivation:
-        prob *= cb.rules_by_id[hop.rule_id].attenuation
+    for rule_id in edge.derivation[0::2]:
+        prob *= cb.rules_by_id[rule_id].attenuation
     return prob
 
 
-def dump_graph(cg: CausalityGraph) -> dict:
+def dump_graph(cg: CausalityGraph, cb: Codebook) -> dict:
     """JSON-friendly export of the full graph, probabilities and derivations
-    included, for debugging and rubric audits."""
+    included, for debugging and rubric audits. Each step of a derivation is
+    written as the relation its rule crossed: a forward rule crosses it from
+    source to target, a reverse rule from target to source."""
+    def hops(edge: CausalEdge) -> list[dict]:
+        out, at = [], cg.causes[edge.cause_id].host_entity
+        walk = edge.derivation
+        for rule_id, nxt in zip(walk[0::2], walk[1::2]):
+            rule = cb.rules_by_id[rule_id]
+            source, target = (at, nxt) if rule.traversal == "forward" else (nxt, at)
+            out.append({"rule": rule_id, "source": source, "target": target,
+                        "kind": rule.over_relation})
+            at = nxt
+        return out
+
     return {
         "schema": "causality-dump/1",
         "topology_revision": cg.topology_revision,
@@ -351,9 +355,7 @@ def dump_graph(cg: CausalityGraph) -> dict:
         "edges": [{"cause": e.cause_id, "symptom": e.symptom_id,
                    "probability": e.probability, "origin_symptom": e.origin_symptom,
                    "local_probability": e.local_probability,
-                   "derivation": [{"rule": h.rule_id, "source": h.source,
-                                   "target": h.target, "kind": h.kind}
-                                  for h in e.derivation]}
+                   "derivation": hops(e)}
                   for e in sorted(cg.edges.values(), key=lambda e: (e.cause_id, e.symptom_id))],
         "truncations": list(cg.truncations),
     }

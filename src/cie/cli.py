@@ -147,7 +147,7 @@ def graph():
 def graph_dump(env, codebook, max_depth):
     """Dump the instantiated causality graph (causes, symptoms, edges) as JSON."""
     engine = _engine_from_options(env, codebook, max_depth=max_depth)
-    click.echo(json.dumps(dump_graph(engine.snapshot().causality), indent=2))
+    click.echo(json.dumps(dump_graph(engine.snapshot().causality, engine.codebook), indent=2))
 
 
 if __name__ == "__main__":

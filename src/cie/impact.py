@@ -3,9 +3,10 @@
 The blast radius starts from the entities hosting a cause's effects and
 extends them by calling the causality layer's rule closure
 (``causality.rule_closure``) in fewest-hop order. The first, fewest-hop
-derivation that reaches an entity is its propagation path, kept only as
-``via``, the compact form the tool service sends; remediation decodes the
-one chain it cites from it. A proposed action is causally aligned
+derivation that reaches an entity, a walk ``(r1, e1, ..., rk, ek)`` from the
+cause's host, is its propagation path, kept only as ``via``, the compact
+form the tool service sends; remediation decodes the one chain it cites
+from it. A proposed action is causally aligned
 only when it targets the cause's host or the host's layer/comp stack;
 fixing a caller never removes a callee's defect.
 """
@@ -85,23 +86,14 @@ def blast_radius(topology: EntityGraph, cg: CausalityGraph, cb: Codebook,
     for (_, ent), (_, derivation) in settled.items():
         kept.setdefault(ent, derivation)
     via = {}
-    for ent, derivation in kept.items():
-        if not derivation:
+    for ent, walk in kept.items():
+        if not walk:
             continue
-        # Every derivation starts at the host, and a relation joins two
-        # distinct entities, so a hop leaves the end the path arrived at.
-        last = derivation[-1]
-        pred = last.source if last.target == ent else last.target
-        # Child derivations share their parent's hop objects, so this tuple
-        # comparison mostly settles on identity.
-        if kept.get(pred) == derivation[:-1]:
-            via[ent] = (pred, last.rule_id)
-            continue
-        entry, at = [], host
-        for hop in derivation:
-            entry += (at, hop.rule_id)
-            at = hop.source if hop.target == at else hop.target
-        via[ent] = tuple(entry)
+        pred = walk[-3] if len(walk) > 2 else host
+        if kept.get(pred) == walk[:-2]:
+            via[ent] = (pred, walk[-2])
+        else:
+            via[ent] = (host,) + walk[:-1]
     truncations = {f"depth limit {max_depth} reached at {sym}@{ent}" for sym, ent in truncated}
     return BlastRadius(cause=cause_id, direct_entities=direct,
                        transitive_entities=frozenset(kept),

@@ -38,6 +38,12 @@ class Observation:
     symptom: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.target, str):
+            raise DocumentError("'entity' must be a string")
+        if self.attribute is not None and not isinstance(self.attribute, str):
+            raise DocumentError("'attribute' must be a string")
+        if self.symptom is not None and not isinstance(self.symptom, str):
+            raise DocumentError("'symptom' must be a string")
         if isinstance(self.tick, bool) or not isinstance(self.tick, int):
             raise DocumentError("'tick' must be an integer")
         is_sample = self.attribute is not None
@@ -263,15 +269,8 @@ def parse_observations(text: str, cg: CausalityGraph | None = None) -> list[Obse
             for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def observation_from_dict(raw: dict, location: str | None = None) -> Observation:
-    if location is not None:
-        return located(location, observation_from_dict, raw)
+def observation_from_dict(raw: dict) -> Observation:
     if not isinstance(raw, dict) or "entity" not in raw or "tick" not in raw:
         raise DocumentError("observation requires 'entity' and 'tick'")
-    if not isinstance(raw["entity"], str):
-        raise DocumentError("'entity' must be a string")
-    for key in ("attribute", "symptom"):
-        if raw.get(key) is not None and not isinstance(raw[key], str):
-            raise DocumentError(f"{key!r} must be a string")
     return Observation(target=raw["entity"], tick=raw["tick"], attribute=raw.get("attribute"),
                        value=raw.get("value"), symptom=raw.get("symptom"))

@@ -206,19 +206,16 @@ def _handle_root_causes(snapshot: EngineSnapshot, params: dict) -> dict:
     team = _team_param(params)
     diagnosis = snapshot.diagnosis(scope)
     symptoms = list(diagnosis.symptoms)
-    if diagnosis.best is None:
+    cause_id = diagnosis.best.cause_id if diagnosis.best else None
+    if cause_id is None:
         payload = {"verdict": "no_active_root_cause", "symptoms": symptoms,
                    "best": None, "ranked": [], "message": NO_ROOT_CAUSE}
-        if team is not None:
-            payload["team"] = {"team": team, "responsible": False}
-        return payload
-    payload = {"verdict": "localized", "symptoms": symptoms,
-               "best": _cause_ref(snapshot, diagnosis.best.cause_id),
-               "ranked": _ranked(snapshot, diagnosis)}
+    else:
+        payload = {"verdict": "localized", "symptoms": symptoms,
+                   "best": _cause_ref(snapshot, cause_id),
+                   "ranked": _ranked(snapshot, diagnosis)}
     if team is not None:
-        direct = impacted_entities(snapshot.causality, diagnosis.best.cause_id)
-        owns = team in owner_teams(snapshot.topology, direct)
-        payload["team"] = {"team": team, "responsible": owns}
+        payload["team"] = _team_answer(snapshot, team, "responsible", cause_id)
     return payload
 
 
@@ -229,23 +226,28 @@ def _handle_blast_radius(snapshot: EngineSnapshot, params: dict) -> dict:
         payload = {"cause": None, "direct": [], "transitive": [], "via": {},
                    "teams": [], "multi_team": False, "truncated": False,
                    "message": f"no impacted services; {NO_ROOT_CAUSE}"}
-        if team is not None:
-            payload["team"] = {"team": team, "owns_impacted": False}
-        return payload
-    radius = snapshot.blast_radius(cause_id)
-    payload = {
-        "cause": _cause_ref(snapshot, cause_id),
-        "direct": sorted(radius.direct_entities),
-        "transitive": sorted(radius.transitive_entities),
-        "via": {entity: list(entry) for entity, entry in sorted(radius.via.items())},
-        "teams": sorted(radius.impacted_teams),
-        "multi_team": len(radius.impacted_teams) > 1,
-        "truncated": bool(radius.truncations),
-    }
+    else:
+        radius = snapshot.blast_radius(cause_id)
+        payload = {
+            "cause": _cause_ref(snapshot, cause_id),
+            "direct": sorted(radius.direct_entities),
+            "transitive": sorted(radius.transitive_entities),
+            "via": {entity: list(entry) for entity, entry in sorted(radius.via.items())},
+            "teams": sorted(radius.impacted_teams),
+            "multi_team": len(radius.impacted_teams) > 1,
+            "truncated": bool(radius.truncations),
+        }
     if team is not None:
-        owns = team in owner_teams(snapshot.topology, radius.direct_entities)
-        payload["team"] = {"team": team, "owns_impacted": owns}
+        payload["team"] = _team_answer(snapshot, team, "owns_impacted", cause_id)
     return payload
+
+
+def _team_answer(snapshot: EngineSnapshot, team: str, key: str, cause_id: str | None) -> dict:
+    """``{"team": team, key: owns}``, ``owns`` saying whether ``team`` owns a
+    direct entity of ``cause_id``; with no cause it owns none."""
+    owns = cause_id is not None and team in owner_teams(
+        snapshot.topology, impacted_entities(snapshot.causality, cause_id))
+    return {"team": team, key: owns}
 
 
 def _handle_remediation(snapshot: EngineSnapshot, params: dict) -> dict:

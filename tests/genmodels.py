@@ -427,14 +427,13 @@ class Hop(NamedTuple):
     kind: str
 
 
-def derivation_to_hops(derivation, cb: Codebook) -> tuple[Hop, ...]:
-    """Re-orient stored relation hops into effect direction using each rule's
-    traversal: forward rules flow source->target, reverse rules the opposite."""
+def derivation_to_hops(walk, host: str, cb: Codebook) -> tuple[Hop, ...]:
+    """A stored derivation, the walk (r1, e1, ..., rk, ek) from ``host``, as
+    hops in effect direction; each hop's relation kind is its rule's."""
     rules = cb.rules_by_id
-    return tuple(Hop(h.rule_id, h.source, h.target, h.kind)
-                 if rules[h.rule_id].traversal == "forward"
-                 else Hop(h.rule_id, h.target, h.source, h.kind)
-                 for h in derivation)
+    chain = (host,) + walk[1::2]
+    return tuple(Hop(rule_id, a, b, rules[rule_id].over_relation)
+                 for rule_id, a, b in zip(walk[0::2], chain, chain[1:]))
 
 
 def reference_paths(graph: EntityGraph, cg, cb: Codebook, cause_id: str,
@@ -451,7 +450,7 @@ def reference_paths(graph: EntityGraph, cg, cb: Codebook, cause_id: str,
     paths = {host: ()}
     for (_, ent), (_, derivation) in settled.items():
         if ent not in paths:
-            paths[ent] = derivation_to_hops(derivation, cb)
+            paths[ent] = derivation_to_hops(derivation, host, cb)
     return paths
 
 

@@ -67,7 +67,8 @@ def _shop_dump_lines() -> list[str]:
                                data.path("astronomy_shop_codebook.json"))
     lines = []
     for depth in DUMP_DEPTHS:
-        dump = dump_graph(instantiate(engine.topology, engine.codebook, max_depth=depth))
+        dump = dump_graph(instantiate(engine.topology, engine.codebook, max_depth=depth),
+                          engine.codebook)
         lines.append(f"max_depth={depth}")
         for key, value in dump.items():
             items = value if isinstance(value, list) else [value]

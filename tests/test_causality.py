@@ -48,7 +48,7 @@ def test_chain_propagation_hand_multiplied(chain_codebook):
     edge = cg.edge("defect@B", "high_error_rate@A")
     assert edge is not None
     assert edge.probability == pytest.approx(0.9 * 0.8, rel=1e-12)
-    assert [h.rule_id for h in edge.derivation] == ["errors-to-callers"]
+    assert edge.derivation[0::2] == ("errors-to-callers",)
 
     # brute-force path enumeration agrees on every edge
     expected = brute_force_edges(graph, chain_codebook)
@@ -60,7 +60,7 @@ def test_two_hop_chain(chain_codebook, chain_topology):
     cg = instantiate(chain_topology, chain_codebook)
     edge = cg.edge("defect@C", "high_error_rate@A")
     assert edge.probability == pytest.approx(0.9 * 0.8 * 0.8, rel=1e-12)
-    assert len(edge.derivation) == 2
+    assert len(edge.derivation) == 4
 
 
 def test_undeclared_entity_type_fails(chain_codebook):
@@ -134,7 +134,7 @@ def test_depth_limit_truncates_with_warning(chain_codebook):
 
 
 def test_dump_graph_contains_derivations(shop_engine):
-    dump = dump_graph(shop_engine.snapshot().causality)
+    dump = dump_graph(shop_engine.snapshot().causality, shop_engine.codebook)
     assert dump["schema"] == "causality-dump/1"
     by_pair = {(e["cause"], e["symptom"]): e for e in dump["edges"]}
     edge = by_pair[("code_defect_transaction_rejection@payment",
@@ -142,6 +142,41 @@ def test_dump_graph_contains_derivations(shop_engine):
     assert [h["rule"] for h in edge["derivation"]] == [
         "payment-rejections-hit-callers", "order-failures-starve-shipping"]
     assert edge["probability"] == pytest.approx(0.98 * 0.9 * 0.85, rel=1e-12)
+
+
+def assert_dump_hops_oriented(graph: EntityGraph, cb: Codebook, max_depth: int):
+    """Every dumped hop is a topology relation of its rule's kind, crossed
+    source to target by a forward rule and target to source by a reverse
+    one, and each edge's hops chain its origin symptom on the cause's host
+    to the edge's symptom on the symptom's host."""
+    dump = dump_graph(instantiate(graph, cb, max_depth=max_depth), cb)
+    causes = {c["id"]: c for c in dump["causes"]}
+    symptoms = {s["id"]: s for s in dump["symptoms"]}
+    for edge in dump["edges"]:
+        at, sym = causes[edge["cause"]]["entity"], edge["origin_symptom"]
+        for hop in edge["derivation"]:
+            rule = cb.rules_by_id[hop["rule"]]
+            assert hop["kind"] == rule.over_relation
+            assert Relation(hop["source"], hop["target"], hop["kind"]) in graph.relations
+            ends = (hop["source"], hop["target"])
+            if rule.traversal == "reverse":
+                ends = ends[::-1]
+            assert ends[0] == at and rule.from_symptom == sym, (edge, hop)
+            at, sym = ends[1], rule.to_symptom
+        target = symptoms[edge["symptom"]]
+        assert (at, sym) == (target["entity"], target["symptom_name"])
+
+
+def test_dump_hops_follow_rule_traversal_on_the_shop(shop_engine):
+    assert_dump_hops_oriented(shop_engine.topology, shop_engine.codebook, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_dump_hops_follow_rule_traversal_on_random_models(seed):
+    rng = random.Random(seed)
+    cb = random_codebook(rng)
+    assert_dump_hops_oriented(random_topology(rng, cb), cb, rng.randint(0, 8))
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ import cie.causality
 from cie.causality import (CausalEdge, CausalityGraph, RootCauseInstance,
                            SymptomInstance, instantiate)
 from cie.engine import Engine, EngineSnapshot
-from cie.errors import DocumentError, UnknownIdError
+from cie.errors import DocumentError, UnknownIdError, located
 from cie.inference import (ActiveSymptomSet, Observation, activate_symptoms,
                            attribute_sample, localize, observation_from_dict,
                            parse_observations, symptom_event)
@@ -409,7 +409,7 @@ def test_observation_fields_validated(fields, message):
         "attribute-without-value", "no-tick", "no-entity", "not-object"])
 def test_observation_refusals_are_located(raw, message):
     with pytest.raises(DocumentError) as info:
-        observation_from_dict(raw, location="observations[3]")
+        located("observations[3]", observation_from_dict, raw)
     assert info.value.location == "observations[3]"
     assert str(info.value) == f"observations[3]: {message}"
     with pytest.raises(DocumentError) as info:
@@ -422,6 +422,18 @@ def test_observation_built_directly_needs_attribute_or_symptom():
         Observation(target="e", tick=1)
     with pytest.raises(DocumentError, match="^observation must carry either attribute/value"):
         Observation(target="e", tick=1, attribute="a", value=1.0, symptom="s")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"target": ["x"], "symptom": "s"}, "'entity' must be a string"),
+    ({"target": None, "tick": "1", "symptom": "s"}, "'entity' must be a string"),
+    ({"target": "x", "symptom": ["s"]}, "'symptom' must be a string"),
+    ({"target": "x", "attribute": {"a": 1}, "value": 1.0}, "'attribute' must be a string"),
+    ({"target": "x", "attribute": 7, "tick": 2.5}, "'attribute' must be a string"),
+])
+def test_observation_built_directly_needs_string_fields(fields, message):
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        Observation(**{"tick": 1, **fields})
 
 
 def test_nan_sample_cannot_clear_an_active_symptom(fresh_shop_engine):
